@@ -11,6 +11,15 @@ asserts the *shape* the paper claims (orderings, monotonicity, ratios).
 
 from __future__ import annotations
 
+import os
+
+# Pin BLAS/OpenMP pools to one thread before numpy loads: every spawned rank
+# otherwise spins a full pool, and on a small host 2 ranks run slower than 1
+# (spawned children inherit the environment).  Harness-only; a caller's own
+# setting wins.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import sys
 from pathlib import Path
 

@@ -5,8 +5,9 @@ sweep and serve batch — with the fused execution layer (fused nn kernels,
 ``free_graph`` backward, vectorized sampler, BatchPrep neighborhood cache +
 prefetch) against the legacy configuration (composite per-op autograd,
 per-root Python sampling loop, no cache, no prefetch, a third forward per
-train step).  Emits ``BENCH_hotpath.json`` at the repo root so the perf
-trajectory accumulates comparable data points across PRs.
+train step).  The report goes to ``tmp_path`` — the committed
+``BENCH_hotpath.json`` at the repo root is what ``repro.cli perf-bench``
+writes, and a test run must leave the tree clean.
 
 The assertions are deliberately looser than the measured speedups (≈1.9× /
 2.1× / 1.3× on an idle machine) so a loaded CI box does not flake; the JSON
@@ -14,16 +15,13 @@ records the real numbers.
 """
 
 import json
-from pathlib import Path
 
 from repro.perf import run_hotpath_bench, write_report
 
-REPORT_PATH = Path(__file__).resolve().parents[1] / "BENCH_hotpath.json"
 
-
-def test_hotpath_throughput_report():
+def test_hotpath_throughput_report(tmp_path):
     report = run_hotpath_bench()
-    out = write_report(report, REPORT_PATH)
+    out = write_report(report, tmp_path / "BENCH_hotpath.json")
     assert out.exists()
     saved = json.loads(out.read_text())
 

@@ -1,9 +1,9 @@
 """Runtime scaling: process-backend step throughput at 1 -> 2 -> 4 workers.
 
 Runs the weak-scaling benchmark behind ``python -m repro.cli runtime-bench``
-on the hot-path workload and emits ``BENCH_runtime.json`` at the repo root,
-so the runtime's scaling trajectory accumulates comparable data points
-across PRs.
+on the hot-path workload.  The report goes to ``tmp_path`` — the committed
+``BENCH_runtime.json`` at the repo root is what the CLI command writes, and
+a test run must leave the tree clean.
 
 Two throughputs land in the report (both measured):
 
@@ -19,16 +19,13 @@ Two throughputs land in the report (both measured):
 """
 
 import json
-from pathlib import Path
 
 from repro.runtime.bench import run_runtime_bench, write_report
 
-REPORT_PATH = Path(__file__).resolve().parents[1] / "BENCH_runtime.json"
 
-
-def test_runtime_scaling_report():
+def test_runtime_scaling_report(tmp_path):
     report = run_runtime_bench((1, 2, 4), steps=20)
-    out = write_report(report, REPORT_PATH)
+    out = write_report(report, tmp_path / "BENCH_runtime.json")
     assert out.exists()
     saved = json.loads(out.read_text())
 

@@ -275,7 +275,7 @@ subpackage for fine-grained control:
 * ``repro.serve.ServingCluster`` — replicated micro-batched serving with
   WAL-backed streaming ingestion;
 * ``repro.runtime`` — the process execution backend: frame transport,
-  collectives, shared-memory state, ``ProcessGroup``, process serving;
+  collectives, shared-memory state, the fit supervisor, process serving;
 * ``repro.parallel.plan_for_graph`` — the §3.2.4 configuration planner;
 * ``repro.sim.CostModel`` — Fig.-12 throughput modeling of the testbed.
 

@@ -155,31 +155,8 @@ class Session:
             # rather than silently writing nothing
             every = 1
         checkpointing = checkpoint_dir is not None
-        if backend == "fabric":
+        if backend != "local":
             from ..runtime.fabric import run_fabric_fit
-            from ..runtime.launcher import apply_process_result
-
-            kwargs = dict(
-                epochs=epochs,
-                max_iterations=max_iterations,
-                verbose=verbose,
-                recovery=recovery,
-                run_state=run_state,
-                rendezvous=rendezvous,
-                managed_agents=managed_agents,
-                agents=agents,
-            )
-            if checkpointing:
-                kwargs["checkpoint_dir"] = str(checkpoint_dir)
-                kwargs["checkpoint_every"] = int(every)
-            if timeout is not None:
-                kwargs["timeout"] = timeout
-            meta, arrays, states = run_fabric_fit(
-                self.config, self.trainer, **kwargs
-            )
-            self.result = apply_process_result(self.trainer, meta, arrays, states)
-            return self.result
-        if backend == "process":
             from ..runtime.launcher import apply_process_result, run_process_fit
 
             kwargs = dict(
@@ -194,9 +171,13 @@ class Session:
                 kwargs["checkpoint_every"] = int(every)
             if timeout is not None:
                 kwargs["timeout"] = timeout
-            meta, arrays, states = run_process_fit(
-                self.config, self.trainer, **kwargs
-            )
+            run_fit = run_process_fit
+            if backend == "fabric":
+                run_fit = run_fabric_fit
+                kwargs.update(
+                    rendezvous=rendezvous, managed_agents=managed_agents, agents=agents
+                )
+            meta, arrays, states = run_fit(self.config, self.trainer, **kwargs)
             self.result = apply_process_result(self.trainer, meta, arrays, states)
             return self.result
         if recovery is not None:

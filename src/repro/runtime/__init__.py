@@ -19,23 +19,26 @@ Layers, bottom up:
   ``repro.parallel.allreduce``;
 * :mod:`~repro.runtime.sharedmem` — node memory + mailbox segments in
   ``multiprocessing.shared_memory`` (§3.2.3's k-reader state, for real);
-* :mod:`~repro.runtime.worker` — the rank entrypoint: rebuild the shard
-  from the config via the ``repro.api`` registries, run the fused
-  BatchPrep training loop, sync gradients every step;
-* :mod:`~repro.runtime.launcher` — :class:`ProcessGroup` spawn / join /
-  failure propagation, the ``fit`` orchestration, and the elastic
-  supervisor: commit-slab rollback, dead-rank respawn, bounded restarts
-  (:class:`RecoveryPolicy`) — a faulted fit still finishes bitwise equal
-  to an unfaulted one;
+* :mod:`~repro.runtime.worker` — **the** rank loop (:func:`run_rank`):
+  rebuild the shard from the config via the ``repro.api`` registries,
+  order the trainer's arithmetic over a set of communicators — canonical
+  pass, fixed-fold gradient reduction, two-barrier commit, park →
+  rollback → resume, finalize replay — for every multi-process backend;
+* :mod:`~repro.runtime.launcher` — the fit orchestration and **the**
+  :class:`Supervisor` (commit-slab rollback, dead-rank respawn, episode-
+  bounded restarts under a :class:`RecoveryPolicy` — a faulted fit still
+  finishes bitwise equal to an unfaulted one) over a small spawner
+  interface, plus :class:`LocalSpawner`: ``i×k`` child processes over
+  pipes, the ``j`` rows kept in-rank (``Session.fit(backend="process")``);
 * :mod:`~repro.runtime.serving` — :class:`ProcessServingCluster`,
   process replicas with their own model copies over one shared serving
   state (bit-identical to the threaded cluster);
-* :mod:`~repro.runtime.fabric` — the multi-host generalization: host
-  agents (``repro.cli agent``) joined over a TCP rendezvous, rank-level
-  socket wiring with star/ring/tree collective topologies, the ``j``
-  dimension fanned out as pipelined ranks, and machine-loss recovery —
-  ``Session.fit(backend="fabric")`` runs the full ``i×j×k@machines``
-  plan bitwise-equal to local;
+* :mod:`~repro.runtime.fabric` — the second spawner: host agents
+  (``repro.cli agent``) joined over a TCP rendezvous, rank-level socket
+  wiring with star/ring/tree leader topologies, the ``j`` dimension fanned
+  out as pipelined ranks, and machine-loss replacement —
+  ``Session.fit(backend="fabric")`` runs the full ``i×j×k@machines`` plan
+  bitwise-equal to local;
 * :mod:`~repro.runtime.bench` — the 1→2→4 worker scaling benchmark behind
   ``python -m repro.cli runtime-bench`` (``BENCH_runtime.json``).
 """
@@ -49,9 +52,8 @@ from .collectives import (
     make_local_tree_communicators,
     make_topology_communicators,
 )
-from .fabric import FabricLauncher, run_fabric_fit
+from .fabric import run_fabric_fit
 from .launcher import (
-    ProcessGroup,
     RecoveryPolicy,
     WorkerFailure,
     apply_process_result,
@@ -84,12 +86,10 @@ __all__ = [
     "Channel",
     "CommitSlab",
     "Communicator",
-    "FabricLauncher",
     "Frame",
     "RecoveryPolicy",
     "RetryPolicy",
     "PipeEndpoint",
-    "ProcessGroup",
     "ProcessPendingResult",
     "ProcessServingCluster",
     "SharedGroupState",

@@ -1,30 +1,32 @@
 """Multi-host distributed runtime: the fabric backend.
 
-This package turns an ``i×j×k@machines`` :class:`~repro.api.config.ParallelConfig`
-into real processes on real (or simulated-localhost) hosts:
+``backend="fabric"`` runs the same rank loop
+(:func:`repro.runtime.worker.run_rank`) under the same supervisor
+(:class:`repro.runtime.launcher.Supervisor`) as ``backend="process"``; this
+package is what differs — an ``i×j×k@machines``
+:class:`~repro.api.config.ParallelConfig` turned into real processes on
+real (or simulated-localhost) hosts, with the ``j`` epoch rows fanned out
+into pipelined ranks:
 
 * :mod:`.wire` — the rank/machine layout, the per-rank link plan over raw
-  TCP sockets, and :class:`~.wire.RankComms` bundling the five
-  communicators each rank needs (world, slot, row, leader, token chain).
+  TCP sockets, and :class:`~.wire.RankComms`, the bundle of communicators
+  (world, row, slot, leader, token chain) every rank loop runs over.
 * :mod:`.agent` — the per-host daemon (``repro.cli agent --join``) that
   rendezvouses with the controller and spawns its slice of the rank grid.
-* :mod:`.worker` — the rank training loop: the process backend's
-  single-rank-per-(i,k) loop generalized so the ``j`` epoch dimension is
-  fanned out into pipelined ranks, with a two-level gradient reduction
-  (slot fold, then cross-machine leader allreduce) fixed in an order that
-  keeps the whole fabric bitwise-identical to ``backend="local"``.
-* :mod:`.launcher` — :class:`FabricLauncher` (rendezvous + supervision +
-  machine-loss recovery) and :func:`run_fabric_fit`, the fabric analogue
-  of :func:`~repro.runtime.launcher.run_process_fit`.
+* :mod:`.worker` — the fabric rank's seat around the shared loop: dial the
+  controller, wire each generation's sockets, die with the host agent.
+* :mod:`.launcher` — :class:`AgentSpawner` (rendezvous, agent fleet,
+  machine-loss detection and replacement) and :func:`run_fabric_fit`, the
+  fabric analogue of :func:`~repro.runtime.launcher.run_process_fit`.
 """
 
 from .agent import agent_main, parse_hostport
-from .launcher import FabricLauncher, run_fabric_fit
+from .launcher import AgentSpawner, run_fabric_fit
 from .wire import RankComms, coords_of, link_plan, machine_of, rank_of, ranks_of_machine
 from .worker import fabric_rank_shell
 
 __all__ = [
-    "FabricLauncher",
+    "AgentSpawner",
     "RankComms",
     "agent_main",
     "coords_of",

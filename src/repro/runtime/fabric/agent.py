@@ -9,9 +9,10 @@ thin process manager for its machine:
   controller's clock, from which the agent computes an NTP-style offset
   (``t_ctrl - (t0 + t1) / 2``) that its ranks use to re-anchor their trace
   timestamps into the controller's timebase.
-* **spawn** — the controller ships a spawn bundle (config dict, shared
-  segment specs, commit-slab spec — names only; the arrays live in shared
-  memory) and a rank list; the agent starts one daemon process per rank
+* **spawn** — the controller ships the spawn bundle every backend's ranks
+  start from (config dict, shared segment specs, commit-slab spec — names
+  only; the arrays live in shared memory) and a rank list; the agent adds
+  its pid and clock offset and starts one daemon process per rank
   running :func:`~repro.runtime.fabric.worker.fabric_rank_shell`.  Ranks
   dial the controller themselves — the agent never relays training
   traffic.
@@ -140,16 +141,12 @@ def agent_main(
                 bundle = dict(frame.meta["bundle"])
                 bundle["agent_pid"] = os.getpid()
                 bundle["clock_offset"] = clock_offset
-                bundle["clear_failpoints"] = bool(
-                    frame.meta.get("clear_failpoints", False)
-                )
                 if bundle["clear_failpoints"]:
                     # respawned ranks inherit the agent's environment via
                     # the spawn context — scrub the schedule here too, or a
                     # replacement agent re-arms the very fault it is
                     # recovering from on every future spawn
                     os.environ.pop(ENV_VAR, None)
-                bundle["generation"] = int(frame.meta.get("generation", 0))
                 for rank in frame.meta["ranks"]:
                     rank = int(rank)
                     old = children.pop(rank, None)

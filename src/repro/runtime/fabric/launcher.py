@@ -1,8 +1,9 @@
-"""Fabric controller: rendezvous, spawn fan-out, machine-loss recovery.
+"""Fabric controller: the agent spawner — rendezvous, fan-out, machine loss.
 
-:class:`FabricLauncher` generalizes :class:`~repro.runtime.launcher.ProcessGroup`
-from "N local child processes" to "N host agents, each spawning its slice
-of the rank grid".  The controller is a plain TCP server:
+:class:`AgentSpawner` is the :class:`~repro.runtime.launcher.Supervisor`'s
+mechanics for ``backend="fabric"``: instead of "N local child processes"
+it manages "N host agents, each spawning its slice of the rank grid".  The
+controller is a plain TCP server:
 
 * **rendezvous** — agents dial in (``repro.cli agent --join host:port``)
   and are assigned machine indices in join order; each receives a spawn
@@ -12,32 +13,27 @@ of the rank grid".  The controller is a plain TCP server:
   agent processes itself (same entrypoint, via subprocess), so a single
   ``fit(backend="fabric")`` call needs no manual orchestration.
 * **wiring** — every rank opens its own listener and reports the address;
-  once all ``i·j·k`` hellos are in, the controller ships each rank its
-  link plan (see :mod:`.wire`) and the fabric wires itself peer-to-peer —
-  training bytes never route through the controller.
-* **supervision** — one select loop over the listener, agent channels and
-  rank channels.  Heartbeat silence, an agent channel EOF, or a managed
-  agent's process exit all declare the machine lost; a lost machine marks
-  every one of its ranks dead (their parent watchdogs guarantee the
-  processes are going down).  Survivors park exactly as in the process
-  backend — faster, in fact, since a parking rank closes all its sockets
-  and the EOF cascade parks the fleet within one collective op.
-* **recovery** — the process backend's rollback generalized to machine
-  loss: restore the live segments from the sealed shadow slot, spawn a
-  *replacement agent* for each lost machine (managed subprocess, even
-  when the original joined externally), respawn lost ranks with
-  failpoints neutralized, hand survivors the next generation, re-collect
-  addresses, re-wire, resume.  Bounded by
-  :class:`~repro.runtime.launcher.RecoveryPolicy.max_restarts`; past the
-  budget the dead host surfaces as a
-  :class:`~repro.runtime.launcher.WorkerFailure` naming every lost rank.
+  once all hellos of a generation are in, the controller ships each rank
+  its link plan (see :mod:`.wire`) and the fabric wires itself
+  peer-to-peer — training bytes never route through the controller.
+* **death** — one select loop over the listener, agent channels and rank
+  channels.  A rank's ``child/exit`` report or control-channel EOF marks
+  it dead; heartbeat silence, an agent channel EOF, or a managed agent's
+  process exit declare the whole machine lost, which marks every one of
+  its ranks dead (their parent watchdogs guarantee the processes are
+  going down).
+* **replacement** — a lost machine gets a *replacement agent* (a managed
+  subprocess, even when the original joined externally: recovery must not
+  wait for an operator) that respawns the machine's whole rank range;
+  ranks that died on a surviving machine respawn in place.
 
-:func:`run_fabric_fit` mirrors :func:`~repro.runtime.launcher.run_process_fit`
-— same iteration-plan arithmetic, same commit slab and shadow slots, same
-``(meta, arrays, group_states)`` result contract — so the Session treats
-the two backends identically.  Shared-memory segments are created by the
-controller; agents on the same box attach by name (the honest localhost
-simplification — the wire protocol itself never assumes it).
+:func:`run_fabric_fit` is :func:`~repro.runtime.launcher.run_process_fit`
+with this spawner — same iteration-plan arithmetic, commit slab, shadow
+slots and ``(meta, arrays, group_states)`` result contract — so the
+Session treats the two backends identically.  Shared-memory segments are
+created by the controller; agents on the same box attach by name (the
+honest localhost simplification — the wire protocol itself never assumes
+it).
 """
 
 from __future__ import annotations
@@ -55,21 +51,17 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ...obs import get_registry
-from ...obs.merge import merge_trace_dir
-from ...obs.trace import Tracer, resolve_trace_dir
 from ...testing import failpoints
-from ..launcher import (
-    DEFAULT_TIMEOUT,
-    RecoveryPolicy,
-    SlabCheckpointer,
-    WorkerFailure,
-    prepare_recovery_state,
-)
-from ..sharedmem import CommitSlab, SharedGroupState, create_group_states, destroy_states
-from ..transport import Channel, Frame, SocketEndpoint, TransportError
+from ..launcher import Supervisor, _run_fit
+from ..sharedmem import SharedGroupState
+from ..transport import Channel, SocketEndpoint, TransportError
 from .wire import link_plan, machine_of, ranks_of_machine
 
-__all__ = ["FabricLauncher", "run_fabric_fit"]
+__all__ = ["AgentSpawner", "run_fabric_fit"]
+
+#: agents ping every HB_INTERVAL seconds; HB_TIMEOUT of silence loses the machine
+HB_INTERVAL = 2.0
+HB_TIMEOUT = 10.0
 
 
 @dataclass
@@ -77,14 +69,9 @@ class _Agent:
     """Controller-side record of one joined host agent."""
 
     channel: Channel
-    pid: int
     proc: Optional[subprocess.Popen] = None  # managed agents only
     last_hb: float = field(default_factory=time.monotonic)
     alive: bool = True
-
-
-def _agent_command(join: str) -> List[str]:
-    return [sys.executable, "-m", "repro.cli", "agent", "--join", join, "--quiet"]
 
 
 def _agent_env() -> dict:
@@ -100,188 +87,145 @@ def _agent_env() -> dict:
     return env
 
 
-class FabricLauncher:
-    """Rendezvous server + fleet supervisor for one fabric fit.
+class AgentSpawner:
+    """Rendezvous server + host-agent fleet for one fabric fit (the
+    spawner interface is documented on
+    :class:`~repro.runtime.launcher.Supervisor`)."""
 
-    Everything experiment-specific arrives pre-built (spawn bundle, commit
-    slab, shadow pairs, live segments) — the launcher only moves control
-    frames and processes.  ``run()`` returns the rank-ordered result
-    frames or raises :class:`WorkerFailure`.
-    """
+    generations = None  # every generation is wired on demand from a link plan
 
-    def __init__(
-        self,
-        *,
-        plan,
-        topology: str,
-        bundle: dict,
-        policy: RecoveryPolicy,
-        timeout: float,
-        slab: CommitSlab,
-        shadow_pairs: List[List[SharedGroupState]],
-        live_states: List[SharedGroupState],
-        rendezvous: str = "127.0.0.1:0",
-        managed_agents: bool = True,
-        tracer: Optional[Tracer] = None,
-        hb_interval: float = 2.0,
-        hb_timeout: float = 10.0,
-        checkpointer: Optional[SlabCheckpointer] = None,
-    ) -> None:
+    def __init__(self, plan, topology: str, rendezvous: str, managed: bool) -> None:
         self.plan = plan
         self.world = plan.i * plan.j * plan.k
-        self.machines = plan.machines
-        self.topology = topology
-        self.bundle = bundle
-        self.policy = policy
-        self.timeout = timeout
-        self.slab = slab
-        self.shadow_pairs = shadow_pairs
-        self.live_states = live_states
         self.rendezvous = rendezvous
-        self.managed = managed_agents
-        self.tracer = tracer
-        self.hb_interval = hb_interval
-        self.hb_timeout = hb_timeout
-
+        self.managed = managed
         self.listener: Optional[socket.socket] = None
+        self.address: Tuple[str, int] = ("", 0)   # where the listener bound
         self.agents: Dict[int, _Agent] = {}
-        self.pending_machines: List[int] = list(range(self.machines))
+        self.pending_machines: List[int] = list(range(plan.machines))
         self.unassigned_procs: List[subprocess.Popen] = []
-        self.rank_chans: Dict[int, Channel] = {}
+        self.chans: Dict[int, Channel] = {}
         self.rank_addrs: Dict[int, Tuple[str, int]] = {}
-        self.status: Dict[int, str] = {}      # running | parked | dead | done
-        self.diags: Dict[int, str] = {}
-        self.park_iters: Dict[int, int] = {}
-        self.results: Dict[int, Frame] = {}
         self.awaiting_hello: Set[int] = set()
         self.dead_machines: Set[int] = set()
-        self.generation = 0
-        self.restarts = 0
-        self._clear_on_spawn = False
         self._plans = link_plan(plan, topology)
-        self.checkpointer = checkpointer
-        # the iteration plan's absolute target: a sealed commit at (or
-        # past) it means faults land in the finalization window
-        tm = bundle.get("train_meta") or {}
-        self.target_iteration: Optional[int] = (
-            int(tm["target_iteration"]) if "target_iteration" in tm else None
-        )
-        # per-episode restart accounting (see _ElasticSupervisor): every
-        # recovery rolling back to the same sealed commit is one restart
-        self._episode_seal: Optional[Tuple[int, int]] = None
-        self._episode_retries = 0
-        # once the fleet enters finalize recovery, every later spawn is a
-        # finalize-only replay (nothing re-enters the training loop)
-        self._finalize_mode = False
 
     # ------------------------------------------------------------ lifecycle
-    def _bind(self) -> Tuple[str, int]:
+    def start(self, sup: Supervisor) -> None:
+        self.sup = sup
         host, port_s = self.rendezvous.rsplit(":", 1)
-        host = host or "127.0.0.1"
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, int(port_s)))
-        sock.listen(self.machines + self.world + 8)
+        sock.bind((host or "127.0.0.1", int(port_s)))
+        sock.listen(self.plan.machines + self.world + 8)
         self.listener = sock
-        bound = sock.getsockname()
-        self.bundle["controller"] = [bound[0], int(bound[1])]
-        return bound[0], int(bound[1])
+        self.address = sock.getsockname()[:2]
+        self.awaiting_hello = set(range(self.world))
+        if self.managed:
+            for _ in range(self.plan.machines):
+                self._launch_agent()
 
-    def _spawn_agent(self, join: str) -> None:
+    def _launch_agent(self) -> None:
         env = _agent_env()
-        if self._clear_on_spawn:
+        if self.sup.restarts > 0:
             # a replacement agent must not re-arm the inherited failpoint
             # schedule: its children neutralize in-process, but the agent's
             # own environment would re-export the specs to every future
             # spawn — scrub at the source
             env.pop(failpoints.ENV_VAR, None)
-        proc = subprocess.Popen(_agent_command(join), env=env)
-        self.unassigned_procs.append(proc)
+        self.unassigned_procs.append(
+            subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "agent", "--quiet",
+                 "--join", "{}:{}".format(*self.address)],
+                env=env,
+            )
+        )
 
-    # -------------------------------------------------------------- running
-    def run(self) -> List[Frame]:
-        host, port = self._bind()
-        join = f"{host}:{port}"
+    def _send_spawn(self, mi: int, ranks: List[int]) -> None:
+        bundle = {**self.sup.spawn_bundle(), "controller": list(self.address)}
         try:
-            if self.managed:
-                for _ in range(self.machines):
-                    self._spawn_agent(join)
-            self.awaiting_hello = set(range(self.world))
-            for rank in range(self.world):
-                self.status[rank] = "dead"  # not yet joined
-            deadline = time.monotonic() + self.timeout
-            self._await(
-                lambda: not self.pending_machines,
-                deadline,
-                f"{self.machines} host agents at {join}",
+            self.agents[mi].channel.send(
+                "spawn", meta={"ranks": ranks, "bundle": bundle}
             )
-            self._await(
-                lambda: not self.awaiting_hello,
-                deadline,
-                f"{self.world} rank hellos",
-            )
-            self._send_wire(range(self.world))
-            self._monitor(deadline)
-            return [self.results[r] for r in range(self.world)]
-        except BaseException:
-            self._cleanup(kill=True)
-            raise
+        except TransportError:
+            self._agent_down(mi, "spawn request failed")
 
-    def _await(self, predicate, deadline: float, what: str) -> None:
-        while not predicate():
-            if time.monotonic() > deadline:
-                self._fail(f"fabric rendezvous timed out waiting for {what}")
-            self._step(0.5)
+    def spawn(self, rank: int) -> None:
+        """Respawn a dead rank: in place on a surviving machine, or — once
+        per lost machine — through a replacement agent whose welcome
+        respawns the machine's whole range."""
+        self.awaiting_hello.add(rank)
+        mi = machine_of(self.plan, rank)
+        if mi not in self.dead_machines:
+            self._send_spawn(mi, [rank])
+        elif mi not in self.pending_machines:
+            self.pending_machines.append(mi)
+            self._launch_agent()
 
-    def _monitor(self, deadline: float) -> None:
-        park_deadline: Optional[float] = None
-        while any(self.status[r] != "done" for r in range(self.world)):
+    def kill(self, rank: int) -> None:
+        ag = self.agents.get(machine_of(self.plan, rank))
+        if ag is not None and ag.alive:
+            try:
+                ag.channel.send("kill", meta={"rank": rank})
+            except TransportError:
+                pass
+
+    def wire(self, deadline: float, finalize: bool = False) -> None:
+        """(Re-)rendezvous — agents join, (re)spawned ranks hello — then
+        ship every live rank its link plan.  Finalize replays await the
+        hellos too, so the monitor's wedge-killer cannot mistake a
+        still-booting rank for a dead one, but get no wire plan: they never
+        open collectives."""
+        sup = self.sup
+        while True:
+            # a machine lost *during* this rendezvous (its agent's EOF can
+            # trail its ranks' deaths) would leave the wait below stuck on
+            # hellos nobody can send: replace it here and now
+            for mi in self.dead_machines.difference(self.pending_machines):
+                for rank in ranks_of_machine(self.plan, mi):
+                    if sup.status[rank] != "done":
+                        self.spawn(rank)
+            if not (self.pending_machines or self.awaiting_hello):
+                break
             if time.monotonic() > deadline:
-                self._fail(f"no result within {self.timeout:.0f}s")
-            self._step(0.5)
-            if self.checkpointer is not None:
-                self.checkpointer.tick()
-            troubled = [
-                r for r, st in self.status.items() if st in ("parked", "dead")
-            ]
-            if not troubled:
-                park_deadline = None
+                sup.fail(
+                    f"fabric rendezvous at {self.address} timed out waiting for "
+                    f"machines {self.pending_machines} / "
+                    f"ranks {sorted(self.awaiting_hello)}"
+                )
+            self.pump(0.5)
+        if finalize:
+            return
+        for rank, st in sup.status.items():
+            if st == "done":
                 continue
-            if park_deadline is None:
-                park_deadline = time.monotonic() + self.policy.grace
-            undecided = [r for r, st in self.status.items() if st == "running"]
-            if not undecided:
-                self._recover_guarded()
-                park_deadline = None
-            elif time.monotonic() > park_deadline:
-                for rank in undecided:
-                    ag = self.agents.get(machine_of(self.plan, rank))
-                    if ag is not None and ag.alive:
-                        try:
-                            ag.channel.send("kill", meta={"rank": rank})
-                        except TransportError:
-                            pass
-                    self.diags.setdefault(
-                        rank,
-                        f"unresponsive for {self.policy.grace:.0f}s "
-                        f"(wedged); killed",
-                    )
-                    self.status[rank] = "dead"
-                self._recover_guarded()
-                park_deadline = None
-        # orderly teardown: agents shut down, channels drained
-        self._cleanup(kill=False)
+            links = []
+            for link in self._plans[rank]:
+                entry = {"key": link.key, "peer": link.peer, "dial": link.dial}
+                if link.dial:
+                    entry["host"], entry["port"] = self.rank_addrs[link.peer]
+                links.append(entry)
+            try:
+                self.chans[rank].send(
+                    "wire", meta={"generation": sup.generation, "links": links}
+                )
+            except TransportError:
+                # keep wiring the rest: peers waiting on this rank fail their
+                # handshake and park, instead of idling unwired until the
+                # wedge-killer's grace expires
+                sup.mark_dead(rank, "died before wiring")
 
     # ---------------------------------------------------------- event pump
-    def _step(self, timeout: float = 0.5) -> None:
+    def pump(self, timeout: float) -> None:
+        sup = self.sup
         waitables: Dict[object, Tuple[str, Optional[int]]] = {
             self.listener: ("listen", None)
         }
         for mi, ag in self.agents.items():
             if ag.alive:
                 waitables[ag.channel.endpoint.sock] = ("agent", mi)
-        for rank, ch in self.rank_chans.items():
-            if self.status.get(rank) in ("running", "parked"):
+        for rank, ch in self.chans.items():
+            if sup.status[rank] in ("running", "parked"):
                 waitables[ch.endpoint.sock] = ("rank", rank)
         try:
             ready, _, _ = select.select(list(waitables), [], [], timeout)
@@ -293,9 +237,18 @@ class FabricLauncher:
                 self._accept()
             elif kind == "agent":
                 self._drain_agent(key)
-            else:
-                self._drain_rank(key)
-        self._check_agents()
+            elif not sup.drain(key, self.chans[key]):
+                sup.mark_dead(key, "rank control channel closed")
+        now = time.monotonic()
+        for mi, ag in self.agents.items():
+            if not ag.alive:
+                continue
+            if ag.proc is not None and ag.proc.poll() is not None:
+                self._agent_down(
+                    mi, f"agent process exited with code {ag.proc.returncode}"
+                )
+            elif now - ag.last_hb > HB_TIMEOUT:
+                self._agent_down(mi, f"no heartbeat for {HB_TIMEOUT:.0f}s")
 
     def _accept(self) -> None:
         try:
@@ -307,7 +260,7 @@ class FabricLauncher:
             self.listener.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(None)
-        ch = Channel(SocketEndpoint(sock), default_timeout=self.timeout)
+        ch = Channel(SocketEndpoint(sock), default_timeout=self.sup.timeout)
         try:
             frame = ch.recv(timeout=10.0)
         except TransportError:
@@ -315,8 +268,15 @@ class FabricLauncher:
             return
         if frame.tag == "hello/agent":
             self._admit_agent(ch, frame.meta)
-        elif frame.tag == "hello/rank":
-            self._admit_rank(ch, frame.meta)
+        elif frame.tag == "hello/rank" and int(frame.meta["rank"]) in self.sup.status:
+            rank = int(frame.meta["rank"])
+            old = self.chans.pop(rank, None)
+            if old is not None:
+                old.close()
+            self.chans[rank] = ch
+            self.rank_addrs[rank] = (frame.meta["host"], int(frame.meta["port"]))
+            self.sup.status[rank] = "running"
+            self.awaiting_hello.discard(rank)
         else:
             ch.close()
 
@@ -327,7 +287,7 @@ class FabricLauncher:
                 ch.send(
                     "error",
                     meta={
-                        "error": f"fabric already has {self.machines} agents "
+                        "error": f"fabric already has {self.plan.machines} agents "
                         f"(plan {self.plan.label()})"
                     },
                 )
@@ -337,63 +297,30 @@ class FabricLauncher:
             return
         mi = self.pending_machines.pop(0)
         pid = int(meta.get("pid", 0))
-        proc = None
-        for p in self.unassigned_procs:
-            if p.pid == pid:
-                proc = p
-                break
+        proc = next((p for p in self.unassigned_procs if p.pid == pid), None)
         if proc is not None:
             self.unassigned_procs.remove(proc)
         old = self.agents.get(mi)
-        if old is not None and old.channel is not ch:
+        if old is not None:
             old.channel.close()
-        self.agents[mi] = _Agent(channel=ch, pid=pid, proc=proc)
+        self.agents[mi] = _Agent(channel=ch, proc=proc)
         self.dead_machines.discard(mi)
         ch.send(
             "welcome",
             meta={
                 "agent_id": mi,
-                "machines": self.machines,
+                "machines": self.plan.machines,
                 "time": time.time(),
-                "hb_interval": self.hb_interval,
+                "hb_interval": HB_INTERVAL,
             },
         )
-        ch.send(
-            "spawn",
-            meta={
-                "ranks": ranks_of_machine(self.plan, mi),
-                "bundle": self._spawn_bundle(),
-                "generation": self.generation,
-                "clear_failpoints": self._clear_on_spawn,
-            },
-        )
-        if self.tracer is not None:
-            self.tracer.instant("agent-join", machine=mi, generation=self.generation)
-
-    def _spawn_bundle(self) -> dict:
-        """The bundle for a (re)spawn frame: once the run is in finalize
-        recovery, every spawned rank replays finalization only."""
-        if self._finalize_mode:
-            return {**self.bundle, "finalize_only": True}
-        return self.bundle
-
-    def _admit_rank(self, ch: Channel, meta: dict) -> None:
-        rank = int(meta["rank"])
-        if not 0 <= rank < self.world:
-            ch.close()
-            return
-        old = self.rank_chans.pop(rank, None)
-        if old is not None:
-            old.close()
-        self.rank_chans[rank] = ch
-        self.rank_addrs[rank] = (meta["host"], int(meta["port"]))
-        self.status[rank] = "running"
-        self.awaiting_hello.discard(rank)
+        self._send_spawn(mi, ranks_of_machine(self.plan, mi))
+        self.sup.instant("agent-join", machine=mi, generation=self.sup.generation)
 
     def _drain_agent(self, mi: int) -> None:
-        ag = self.agents.get(mi)
-        if ag is None or not ag.alive:
-            return
+        ag = self.agents[mi]
+        if not ag.alive:
+            return  # lost earlier in this pump pass; its socket is closed
         ch = ag.channel
         try:
             while ch.poll(0.0):
@@ -402,51 +329,14 @@ class FabricLauncher:
                     ag.last_hb = time.monotonic()
                 elif frame.tag == "child/exit":
                     rank = int(frame.meta["rank"])
-                    code = int(frame.meta.get("code", 0))
-                    self._drain_rank(rank)  # a result may have raced the exit
-                    if self.status.get(rank) not in ("done",):
-                        self.status[rank] = "dead"
-                        self.diags.setdefault(
-                            rank, f"rank process exited with code {code}"
-                        )
+                    if rank in self.chans:  # a result may have raced the exit
+                        self.sup.drain(rank, self.chans[rank])
+                    self.sup.mark_dead(
+                        rank,
+                        f"rank process exited with code {frame.meta.get('code', 0)}",
+                    )
         except TransportError:
             self._agent_down(mi, "agent control channel closed")
-
-    def _drain_rank(self, rank: int) -> None:
-        ch = self.rank_chans.get(rank)
-        if ch is None or self.status.get(rank) == "done":
-            return
-        try:
-            while ch.poll(0.0) and self.status.get(rank) != "done":
-                frame = ch.recv(timeout=1.0)
-                if frame.tag == "result":
-                    self.results[rank] = frame
-                    self.status[rank] = "done"
-                elif frame.tag == "parked":
-                    self.status[rank] = "parked"
-                    self.diags.setdefault(
-                        rank, f"parked: {frame.meta.get('error', 'peer failure')}"
-                    )
-                    if "iteration" in frame.meta:
-                        self.park_iters[rank] = int(frame.meta["iteration"])
-                elif frame.tag == "error":
-                    self.diags[rank] = frame.meta.get("error", "unknown error")
-        except TransportError:
-            if self.status.get(rank) != "done":
-                self.status[rank] = "dead"
-                self.diags.setdefault(rank, "rank control channel closed")
-
-    def _check_agents(self) -> None:
-        now = time.monotonic()
-        for mi, ag in list(self.agents.items()):
-            if not ag.alive:
-                continue
-            if ag.proc is not None and ag.proc.poll() is not None:
-                self._agent_down(
-                    mi, f"agent process exited with code {ag.proc.returncode}"
-                )
-            elif now - ag.last_hb > self.hb_timeout:
-                self._agent_down(mi, f"no heartbeat for {self.hb_timeout:.0f}s")
 
     def _agent_down(self, mi: int, why: str) -> None:
         """A machine is lost: every non-done rank on it is dead (their
@@ -463,312 +353,16 @@ class FabricLauncher:
                 pass
         self.dead_machines.add(mi)
         get_registry().counter("recovery/machine_losses").add()
-        if self.tracer is not None:
-            self.tracer.instant("machine-lost", machine=mi, reason=why)
+        self.sup.instant("machine-lost", machine=mi, reason=why)
         for rank in ranks_of_machine(self.plan, mi):
-            if self.status.get(rank) != "done":
-                self.status[rank] = "dead"
-                self.diags.setdefault(rank, f"host agent {mi} lost: {why}")
+            self.sup.mark_dead(rank, f"host agent {mi} lost: {why}")
 
-    # -------------------------------------------------------------- wiring
-    def _send_wire(self, ranks) -> None:
-        for rank in ranks:
-            if self.status.get(rank) == "done":
-                continue
-            links = []
-            for link in self._plans[rank]:
-                entry = {"key": link.key, "peer": link.peer, "dial": link.dial}
-                if link.dial:
-                    host, port = self.rank_addrs[link.peer]
-                    entry["host"] = host
-                    entry["port"] = port
-                links.append(entry)
-            self.rank_chans[rank].send(
-                "wire", meta={"generation": self.generation, "links": links}
-            )
-
-    # ------------------------------------------------------------ recovery
-    def _recover_guarded(self) -> None:
-        """Re-entrant wrapper: a fault *inside* recovery (supervisor-side
-        failpoint, racing transport error) must not take the fleet down —
-        the half-recovered ranks re-park on their collective timeout and
-        the monitor loop folds them into the next recovery pass."""
-        try:
-            self._recover()
-        except WorkerFailure:
-            raise
-        except BaseException as exc:
-            get_registry().counter("recovery/recover_faults").add()
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "recover-fault", error=f"{type(exc).__name__}: {exc}"
-                )
-
-    def _recover(self) -> None:
-        """Roll the fabric back to the last sealed commit: replacement
-        agents for lost machines, respawned ranks, a fresh wire plan."""
-        failpoints.fire("supervisor.recover")
-        slot, sealed_iteration = self.slab.header
-        seal = (int(slot), int(sealed_iteration))
-        if seal == self._episode_seal:
-            # still recovering toward the same sealed commit: concurrent
-            # faults and mid-recovery faults fold into one restart
-            self._episode_retries += 1
-            if self._episode_retries > 8:
-                self._fail("repeated faults within one recovery episode")
-        else:
-            self._episode_seal = seal
-            self._episode_retries = 0
-            self.restarts += 1
-        if self.restarts > self.policy.max_restarts:
-            self._fail("failed and restart budget exhausted")
-        if (
-            self.target_iteration is not None
-            and sealed_iteration >= self.target_iteration
-        ):
-            # every surviving rank already sealed the final commit: the
-            # fault landed in the finalization window — replay finalization
-            # from the seal instead of rolling back the training loop
-            self._recover_finalize(int(slot), int(sealed_iteration))
-            return
-        if any(st == "done" for st in self.status.values()):
-            # unreachable: a rank only finishes past the end barrier, and
-            # by then the final seal puts us on the finalize path above
-            self._fail("fleet failed after some ranks completed")
-        self.generation += 1
-        self._clear_on_spawn = True
-        depth = max(
-            (it - sealed_iteration for it in self.park_iters.values()), default=0
-        )
-        depth = max(depth, 0)
-        dead_ranks = [r for r, st in self.status.items() if st == "dead"]
-        lost = sorted(self.dead_machines)
-        registry = get_registry()
-        registry.counter("recovery/restarts").add()
-        registry.gauge("recovery/rollback_depth").set(float(depth))
-        registry.gauge("recovery/generation").set(float(self.generation))
-        rollback_span = (
-            self.tracer.span(
-                "rollback",
-                generation=self.generation,
-                restart=self.restarts,
-                slot=int(slot),
-                sealed_iteration=int(sealed_iteration),
-                depth=int(depth),
-                dead_ranks=dead_ranks,
-                lost_machines=lost,
-            )
-            if self.tracer is not None
-            else None
-        )
-        if rollback_span is not None:
-            rollback_span.__enter__()
-        try:
-            for live, pair in zip(self.live_states, self.shadow_pairs):
-                live.memory.copy_from(pair[slot].memory)
-                live.mailbox.copy_from(pair[slot].mailbox)
-
-            self.awaiting_hello = set(dead_ranks)
-            join = "{}:{}".format(*self.bundle["controller"])
-            t0 = time.perf_counter()
-            for mi in lost:
-                # replacement agents are always managed subprocesses, even
-                # when the lost one joined externally — recovery must not
-                # wait for an operator
-                self.pending_machines.append(mi)
-                self._spawn_agent(join)
-            # ranks that died on surviving machines respawn in place
-            by_machine: Dict[int, List[int]] = {}
-            for rank in dead_ranks:
-                mi = machine_of(self.plan, rank)
-                if mi not in self.dead_machines:
-                    by_machine.setdefault(mi, []).append(rank)
-            for mi, ranks in by_machine.items():
-                ag = self.agents.get(mi)
-                if ag is None or not ag.alive:
-                    continue
-                try:
-                    ag.channel.send(
-                        "spawn",
-                        meta={
-                            "ranks": sorted(ranks),
-                            "bundle": self.bundle,
-                            "generation": self.generation,
-                            "clear_failpoints": True,
-                        },
-                    )
-                except TransportError:
-                    self._agent_down(mi, "spawn request failed")
-            # parked survivors advance to the new generation in place
-            for rank, st in list(self.status.items()):
-                if st != "parked":
-                    continue
-                try:
-                    self.rank_chans[rank].send(
-                        "resume", meta={"generation": self.generation}
-                    )
-                    self.status[rank] = "running"
-                except TransportError:
-                    self.status[rank] = "dead"
-                    self.diags.setdefault(rank, "died while parked")
-                    self.awaiting_hello.add(rank)
-                    mi = machine_of(self.plan, rank)
-                    ag = self.agents.get(mi)
-                    if ag is not None and ag.alive:
-                        try:
-                            ag.channel.send(
-                                "spawn",
-                                meta={
-                                    "ranks": [rank],
-                                    "bundle": self.bundle,
-                                    "generation": self.generation,
-                                    "clear_failpoints": True,
-                                },
-                            )
-                        except TransportError:
-                            self._agent_down(mi, "spawn request failed")
-            # re-rendezvous: replacement agents join, respawned ranks hello
-            deadline = time.monotonic() + self.policy.grace + 60.0
-            self._await(
-                lambda: not self.pending_machines and not self.awaiting_hello,
-                deadline,
-                "respawned agents/ranks to rejoin",
-            )
-            registry.histogram("recovery/respawn_latency_s").record(
-                time.perf_counter() - t0
-            )
-            registry.counter("recovery/respawns").add(len(dead_ranks) or 1)
-            self._send_wire(range(self.world))
-        finally:
-            if rollback_span is not None:
-                rollback_span.__exit__(None, None, None)
-            if self.tracer is not None:
-                self.tracer.flush()
-        self.park_iters.clear()
-
-    def _recover_finalize(self, slot: int, sealed_iteration: int) -> None:
-        """Finalization-window recovery: the final commit is sealed, so no
-        collective work remains — restore the sealed segments and have
-        every non-done rank replay finalization from the slab.  Done ranks
-        keep their results; no generation bump, no re-wiring (finalize
-        ranks never open collectives)."""
-        self._finalize_mode = True
-        self._clear_on_spawn = True
-        registry = get_registry()
-        registry.counter("recovery/restarts").add()
-        registry.counter("recovery/finalize_recoveries").add()
-        registry.gauge("recovery/rollback_depth").set(0.0)
-        dead_ranks = [r for r, st in self.status.items() if st == "dead"]
-        lost = sorted(self.dead_machines)
-        rollback_span = (
-            self.tracer.span(
-                "rollback",
-                generation=self.generation,
-                restart=self.restarts,
-                slot=int(slot),
-                sealed_iteration=int(sealed_iteration),
-                depth=0,
-                dead_ranks=dead_ranks,
-                lost_machines=lost,
-                finalize=True,
-            )
-            if self.tracer is not None
-            else None
-        )
-        if rollback_span is not None:
-            rollback_span.__enter__()
-        try:
-            for live, pair in zip(self.live_states, self.shadow_pairs):
-                live.memory.copy_from(pair[slot].memory)
-                live.mailbox.copy_from(pair[slot].mailbox)
-
-            self.awaiting_hello = set(dead_ranks)
-            join = "{}:{}".format(*self.bundle["controller"])
-            t0 = time.perf_counter()
-            for mi in lost:
-                self.pending_machines.append(mi)
-                self._spawn_agent(join)
-            by_machine: Dict[int, List[int]] = {}
-            for rank in dead_ranks:
-                mi = machine_of(self.plan, rank)
-                if mi not in self.dead_machines:
-                    by_machine.setdefault(mi, []).append(rank)
-            for mi, ranks in by_machine.items():
-                ag = self.agents.get(mi)
-                if ag is None or not ag.alive:
-                    continue
-                try:
-                    ag.channel.send(
-                        "spawn",
-                        meta={
-                            "ranks": sorted(ranks),
-                            "bundle": self._spawn_bundle(),
-                            "generation": self.generation,
-                            "clear_failpoints": True,
-                        },
-                    )
-                except TransportError:
-                    self._agent_down(mi, "spawn request failed")
-            for rank, st in list(self.status.items()):
-                if st != "parked":
-                    continue
-                try:
-                    self.rank_chans[rank].send(
-                        "resume",
-                        meta={"generation": self.generation, "finalize": True},
-                    )
-                    self.status[rank] = "running"
-                except TransportError:
-                    self.status[rank] = "dead"
-                    self.diags.setdefault(rank, "died while parked")
-                    self.awaiting_hello.add(rank)
-                    mi = machine_of(self.plan, rank)
-                    ag = self.agents.get(mi)
-                    if ag is not None and ag.alive:
-                        try:
-                            ag.channel.send(
-                                "spawn",
-                                meta={
-                                    "ranks": [rank],
-                                    "bundle": self._spawn_bundle(),
-                                    "generation": self.generation,
-                                    "clear_failpoints": True,
-                                },
-                            )
-                        except TransportError:
-                            self._agent_down(mi, "spawn request failed")
-            # await the respawns' hellos so the monitor's wedge-killer
-            # cannot mistake a still-booting replay rank for a hung one
-            deadline = time.monotonic() + self.policy.grace + 60.0
-            self._await(
-                lambda: not self.pending_machines and not self.awaiting_hello,
-                deadline,
-                "finalize respawns to rejoin",
-            )
-            registry.histogram("recovery/respawn_latency_s").record(
-                time.perf_counter() - t0
-            )
-            registry.counter("recovery/respawns").add(len(dead_ranks) or 1)
-            # no _send_wire: finalize ranks skip every collective
-        finally:
-            if rollback_span is not None:
-                rollback_span.__exit__(None, None, None)
-            if self.tracer is not None:
-                self.tracer.flush()
-        self.park_iters.clear()
-
-    # -------------------------------------------------------------- failure
-    def _fail(self, default: str) -> None:
-        failures = dict(self.diags)
-        for rank in range(self.world):
-            if self.status.get(rank) != "done":
-                failures.setdefault(rank, default)
-        self._cleanup(kill=True)
-        raise WorkerFailure(failures or {0: default})
-
-    def _cleanup(self, kill: bool) -> None:
-        for rank, ch in self.rank_chans.items():
-            if kill and self.status.get(rank) in ("parked", "running"):
+    # ------------------------------------------------------------- teardown
+    def close(self, kill: bool) -> None:
+        """Orderly (``kill=False``: agents shut down once their ranks have
+        exited) or hard teardown; idempotent."""
+        for rank, ch in self.chans.items():
+            if kill and self.sup.status[rank] in ("parked", "running"):
                 try:
                     ch.send("abort")
                 except TransportError:
@@ -794,6 +388,7 @@ class FabricLauncher:
                 except subprocess.TimeoutExpired:  # pragma: no cover
                     pass
         for ag in self.agents.values():
+            ag.alive = False
             ag.channel.close()
         if self.listener is not None:
             self.listener.close()
@@ -805,23 +400,20 @@ def run_fabric_fit(
     config,
     trainer,
     *,
-    epochs: Optional[int] = None,
-    max_iterations: Optional[int] = None,
-    eval_every_sweeps: int = 1,
-    verbose: bool = False,
-    timeout: float = DEFAULT_TIMEOUT,
-    recovery: Optional[RecoveryPolicy] = None,
-    run_state: Optional[dict] = None,
     rendezvous: Optional[str] = None,
     managed_agents: bool = True,
     agents: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 1,
+    **fit,
 ) -> Tuple[dict, Dict[str, np.ndarray], List[SharedGroupState]]:
     """Execute ``config`` as ``i×j×k`` ranks over ``machines`` host agents,
     continuing from ``trainer``'s current state — the fabric analogue of
     :func:`~repro.runtime.launcher.run_process_fit` with the ``j``
-    dimension fanned out into real pipelined ranks.
+    dimension fanned out into real pipelined ranks.  ``**fit`` takes every
+    ``run_process_fit`` keyword (``epochs``, ``max_iterations``,
+    ``eval_every_sweeps``, ``verbose``, ``timeout``, ``recovery``,
+    ``run_state``, ``checkpoint_dir``, ``checkpoint_every``) with the same
+    meaning, so a hard-killed fabric fit resumes bitwise via
+    ``Session.resume`` exactly like a process one.
 
     ``rendezvous`` is the controller's bind address (default an ephemeral
     localhost port).  ``managed_agents=True`` spawns the host agents as
@@ -830,142 +422,22 @@ def run_fabric_fit(
     optionally asserts the expected agent count — a fabric plan needs
     exactly ``plan.machines`` of them.
 
-    ``checkpoint_dir`` enables controller-side periodic checkpoints: every
-    ``checkpoint_every`` commit boundaries the sealed slab is exported as
-    a v2 checkpoint directory (same exporter as the process backend), so
-    a hard-killed fabric fit resumes bitwise via ``Session.resume``.
-
     Returns ``(meta, arrays, group_states)`` with the identical contract
     (and, by construction, bitwise-identical contents) as the process and
     local backends; feed it to
     :func:`~repro.runtime.launcher.apply_process_result`.
     """
-    from ..worker import initial_book
-
-    policy = recovery if recovery is not None else RecoveryPolicy()
     plan = config.parallel
-    world = plan.i * plan.j * plan.k
     if agents is not None and agents != plan.machines:
         raise ValueError(
             f"plan {plan.label()} needs exactly {plan.machines} agent(s), "
             f"got agents={agents}"
         )
-    graph = trainer.graph
-    topology = getattr(config.train, "topology", "star")
-
-    if run_state is not None:
-        target_iteration = int(run_state["target_iteration"])
-        book = {
-            "history": list(run_state["history"]),
-            "recent": list(run_state["recent"]),
-            "last_eval_sweeps": int(run_state["last_eval_sweeps"]),
-        }
-    else:
-        epochs_eq = epochs if epochs is not None else config.train.epochs
-        total_batch_visits = epochs_eq * trainer.num_batches
-        visits_per_iteration = plan.j * plan.k
-        iterations = max(1, total_batch_visits // visits_per_iteration)
-        if max_iterations is not None:
-            iterations = min(iterations, int(max_iterations))
-        target_iteration = trainer._iteration + iterations
-        book = initial_book()
-
-    trace_dir = resolve_trace_dir(config)
-    controller_tracer: Optional[Tracer] = None
-    if trace_dir is not None:
-        Path(trace_dir).mkdir(parents=True, exist_ok=True)
-        controller_tracer = Tracer(
-            rank=world,
-            lane="supervisor",
-            path=Path(trace_dir) / "trace-supervisor.jsonl",
-        )
-        controller_tracer.instant(
-            "launch", world=world, machines=plan.machines, fabric=True
-        )
-
-    group_states = create_group_states(
-        plan.k,
-        num_nodes=graph.num_nodes,
-        memory_dim=config.model.memory_dim,
-        edge_dim=graph.edge_dim,
-        comb=config.train.comb,
+    return _run_fit(
+        config,
+        trainer,
+        AgentSpawner(
+            plan, config.train.topology, rendezvous or "127.0.0.1:0", managed_agents
+        ),
+        **fit,
     )
-    slab: Optional[CommitSlab] = None
-    shadow_pairs: List[List[SharedGroupState]] = []
-    launcher: Optional[FabricLauncher] = None
-    try:
-        for st, g in zip(group_states, trainer.groups):
-            st.memory.copy_from(g.memory)
-            st.mailbox.copy_from(g.mailbox)
-        slab, shadow_pairs, shadow_specs = prepare_recovery_state(
-            config, trainer, book=book
-        )
-
-        train_meta = {
-            "target_iteration": target_iteration,
-            "eval_every_sweeps": eval_every_sweeps,
-            "verbose": verbose,
-            "commit_every": policy.commit_every,
-        }
-        if trace_dir is not None:
-            train_meta["trace_dir"] = str(trace_dir)
-
-        bundle = {
-            "config_dict": config.to_dict(),
-            "shared_specs": [st.spec.to_dict() for st in group_states],
-            "commit_spec": slab.to_dict(),
-            "shadow_specs": shadow_specs,
-            "train_meta": train_meta,
-            "topology": topology,
-            "collective_timeout": policy.collective_timeout,
-            "timeout": timeout,
-            "generation": 0,
-        }
-
-        checkpointer = None
-        if checkpoint_dir is not None:
-            checkpointer = SlabCheckpointer(
-                directory=checkpoint_dir,
-                config=config,
-                trainer=trainer,
-                slab=slab,
-                shadow_pairs=shadow_pairs,
-                target_iteration=target_iteration,
-                start_iteration=trainer._iteration,
-                every=checkpoint_every,
-            )
-
-        launcher = FabricLauncher(
-            plan=plan,
-            topology=topology,
-            bundle=bundle,
-            policy=policy,
-            timeout=timeout,
-            slab=slab,
-            shadow_pairs=shadow_pairs,
-            live_states=group_states,
-            rendezvous=rendezvous or "127.0.0.1:0",
-            managed_agents=managed_agents,
-            tracer=controller_tracer,
-            checkpointer=checkpointer,
-        )
-        results = launcher.run()
-    except BaseException:
-        destroy_states(group_states)
-        raise
-    finally:
-        for pair in shadow_pairs:
-            destroy_states(pair)
-        if slab is not None:
-            slab.close()
-            slab.unlink()
-        if trace_dir is not None:
-            try:
-                if controller_tracer is not None:
-                    controller_tracer.instant("join")
-                    controller_tracer.flush()
-                merge_trace_dir(trace_dir)
-            except Exception:  # pragma: no cover - defensive
-                pass
-    root = results[0]
-    return root.meta, root.arrays, group_states

@@ -35,8 +35,8 @@ from ..transport import Channel, RetryPolicy, SocketEndpoint, socket_channel
 
 __all__ = [
     "Link",
+    "RankComms",
     "accept_links",
-    "build_comms",
     "coords_of",
     "dial_links",
     "link_plan",
@@ -243,81 +243,58 @@ def accept_links(
 
 
 # ---------------------------------------------------------- communicators
+@dataclass
 class RankComms:
-    """Every communicator one fabric rank holds, built from its channels.
+    """Every communicator one rank holds for one generation.
 
     * ``world`` — all ranks (star, root = rank 0): barriers and control.
-    * ``slot`` — the j epoch rows of this rank's ``(m, s)`` slot (star,
-      root = row 0): row-order gather of one-term partials + fan-out of
-      the reduced gradient.
     * ``row`` — the i shards of this rank's ``(m, r)`` row (star, root =
       shard 0): the canonical pass's read barriers and ordered writeback.
+    * ``slot`` — the j epoch rows of this rank's ``(m, s)`` slot (star,
+      root = row 0): row-order gather of one-term partials + fan-out of
+      the reduced gradient.  A rank that owns all its rows holds the
+      trivial world of one.
     * ``leader`` — slot leaders only (row 0), ordered by block ``m·i+s``
-      on the configured topology: the cross-machine gradient allreduce.
+      on the configured topology: the cross-rank gradient allreduce.
     * ``tok_prev`` / ``tok_next`` — the canonical-pass token chain edges.
     """
 
-    def __init__(
-        self,
-        plan,
-        topology: str,
-        rank: int,
-        channels: Dict[str, Channel],
-    ) -> None:
+    world: Communicator
+    row: Communicator
+    slot: Communicator
+    leader: Optional[object] = None
+    tok_prev: Optional[Channel] = None
+    tok_next: Optional[Channel] = None
+
+    @classmethod
+    def from_channels(
+        cls, plan, topology: str, rank: int, channels: Dict[str, Channel]
+    ) -> "RankComms":
+        """A fabric rank's communicators from its keyed link channels."""
         i, j, k = plan.i, plan.j, plan.k
-        world = i * j * k
         m, r, s = coords_of(plan, rank)
-        self.plan = plan
-        self.rank = rank
-        self._channels = dict(channels)
 
-        if world == 1:
-            self.world = Communicator(0, 1)
-        elif rank == 0:
-            self.world = Communicator(
-                0, world,
-                peer_channels=[channels[f"world:{x}"] for x in range(1, world)],
-            )
-        else:
-            self.world = Communicator(
-                rank, world, root_channel=channels[f"world:{rank}"]
-            )
+        def star(idx: int, size: int, key: str) -> Communicator:
+            if size == 1:
+                return Communicator(0, 1)
+            if idx == 0:
+                return Communicator(
+                    0, size,
+                    peer_channels=[channels[f"{key}{x}"] for x in range(1, size)],
+                )
+            return Communicator(idx, size, root_channel=channels[f"{key}{idx}"])
 
-        if j == 1:
-            self.slot = Communicator(0, 1)
-        elif r == 0:
-            self.slot = Communicator(
-                0, j,
-                peer_channels=[channels[f"slot:{m}:{s}:{x}"] for x in range(1, j)],
-            )
-        else:
-            self.slot = Communicator(
-                r, j, root_channel=channels[f"slot:{m}:{s}:{r}"]
-            )
-
-        if i == 1:
-            self.row = Communicator(0, 1)
-        elif s == 0:
-            self.row = Communicator(
-                0, i,
-                peer_channels=[channels[f"row:{m}:{r}:{x}"] for x in range(1, i)],
-            )
-        else:
-            self.row = Communicator(s, i, root_channel=channels[f"row:{m}:{r}:{s}"])
-
-        self.leader = None
+        leader = None
         if r == 0:
             b, nb = m * i + s, i * k
-            if nb == 1:
-                self.leader = Communicator(0, 1)
-            elif topology == "ring":
-                self.leader = ChainCommunicator(
+            if nb > 1 and topology == "ring":
+                leader = ChainCommunicator(
                     b, nb,
                     prev_channel=channels.get(f"lead:{b}"),
                     next_channel=channels.get(f"lead:{b + 1}"),
                 )
-            elif topology == "tree":
-                self.leader = TreeCommunicator(
+            elif nb > 1 and topology == "tree":
+                leader = TreeCommunicator(
                     b, nb,
                     parent_channel=channels.get(f"lead:{b}"),
                     child_channels=[
@@ -326,29 +303,25 @@ class RankComms:
                         if c < nb
                     ],
                 )
-            elif b == 0:
-                self.leader = Communicator(
-                    0, nb,
-                    peer_channels=[channels[f"lead:{x}"] for x in range(1, nb)],
-                )
             else:
-                self.leader = Communicator(
-                    b, nb, root_channel=channels[f"lead:{b}"]
-                )
-
-        self.tok_prev = channels.get(f"tok:{m}:{r}") if (s == 0 and r > 0) else None
-        self.tok_next = (
-            channels.get(f"tok:{m}:{r + 1}") if (s == 0 and r < j - 1) else None
+                leader = star(b, nb, "lead:")
+        return cls(
+            world=star(rank, i * j * k, "world:"),
+            row=star(s, i, f"row:{m}:{r}:"),
+            slot=star(r, j, f"slot:{m}:{s}:"),
+            leader=leader,
+            tok_prev=channels.get(f"tok:{m}:{r}") if (s == 0 and r > 0) else None,
+            tok_next=(
+                channels.get(f"tok:{m}:{r + 1}") if (s == 0 and r < j - 1) else None
+            ),
         )
 
     def close(self) -> None:
         """Close every underlying channel (cascades EOF to all peers —
-        the fast park signal during a machine loss)."""
-        for ch in self._channels.values():
-            ch.close()
-
-
-def build_comms(
-    plan, topology: str, rank: int, channels: Dict[str, Channel]
-) -> RankComms:
-    return RankComms(plan, topology, rank, channels)
+        the fast park signal when a rank or a whole machine is lost)."""
+        for part in (
+            self.world, self.row, self.slot, self.leader,
+            self.tok_prev, self.tok_next,
+        ):
+            if part is not None:
+                part.close()

@@ -1,43 +1,22 @@
-"""Fabric rank entrypoint: the j-fan-out training loop over sockets.
+"""Fabric rank entrypoint: the socket-wired seat around the shared rank loop.
 
-A fabric rank is one ``(m, r, s)`` cell of the full ``i × j × k`` grid —
-unlike the process backend's ``i × k`` ranks, which keep the ``j`` epoch
-rows *inside* the rank, the fabric fans the rows out into real processes.
-Each rank therefore runs **one** canonical-pass batch and **one** loss
-term per sub-step; the block-level arithmetic the process rank does in a
-private loop becomes wire collectives:
+A fabric rank is one ``(m, r, s)`` cell of the full ``i × j × k`` grid
+running :func:`repro.runtime.worker.run_rank` with ``fanout=True`` — one
+canonical-pass batch and one loss term per sub-step.  This module holds
+only what a socket-wired rank on a host agent needs *around* that loop:
 
-* **canonical pass** (sub-step 0) — the group's ``j`` rows are serialized
-  by a token chain between row leaders (row ``r`` starts as soon as row
-  ``r-1``'s write-back committed, pipelined against the later rows still
-  working), and within a row the ``i`` shards run the process backend's
-  exact barrier/read/forward/ordered-write-back sequence on their own row
-  communicator.  Wrap detection is local arithmetic — every rank advances
-  every cursor — so no extra coordination is needed.
-* **gradient step** — a two-level reduction replaces the flat allreduce:
-  the ``j`` rows of a gradient slot fold their one-term float64 partials
-  at the slot leader **in row order** (the same ``+=`` loop a process
-  rank runs over its cached block, so the slot total is bitwise the
-  process rank's partial), the ``i·k`` slot leaders allreduce **in block
-  order** on the configured star/ring/tree overlay (the same fold as
-  ``reduce_partials``), and the total fans back out through the slot.
-  Every rank then applies the identical reduced gradient to its own Adam
-  replica — bitwise lockstep across machines without weight broadcasts.
-
-Fault tolerance extends the process worker's park protocol to machine
-loss: on any :class:`~repro.runtime.transport.TransportError` the rank
-closes **all** its sockets first — cascading EOF through the fabric so
-every survivor parks within one collective op instead of one timeout —
-then reports ``parked`` on its controller channel and waits for the
-``resume`` + fresh ``wire`` plan of the next generation.  A parent-death
-watchdog turns a SIGKILLed agent into dead ranks immediately (daemonized
-children do not outlive the machine they simulate).
-
-Failpoints: ``worker.step`` (as in the process worker) plus
-``fabric.machine`` — whose ``crash`` callback SIGKILLs the whole host
-agent, the machine-loss drill ``differential_chaos_fit`` runs — and
-``worker.finalize`` right after the end barrier (the finalization-window
-drill; recovery replays finalization from the sealed final commit).
+* **control channel** — the rank dials the controller itself (the agent
+  never relays traffic), opens its own listener and reports the address
+  in ``hello/rank``; that address is how peers reach it.
+* **wiring** — each generation arrives as a ``wire`` frame naming the
+  rank's links; the rank dials all outbound links, then accepts the
+  inbound ones (see :mod:`.wire`) and bundles them into a
+  :class:`~.wire.RankComms`.
+* **machine scope** — a parent-death watchdog turns a SIGKILLed agent into
+  dead ranks immediately (daemonized children do not outlive the machine
+  they simulate), and the ``fabric.machine`` failpoint's ``crash`` callback
+  SIGKILLs the whole host agent — the machine-loss drill
+  ``differential_chaos_fit`` runs.
 """
 
 from __future__ import annotations
@@ -47,25 +26,15 @@ import signal
 import socket
 import threading
 import time
-import traceback
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ...api.config import ExperimentConfig
-from ...models.tgn import TGN, DirectMemoryView
-from ...nn import clip_grad_norm, use_fused
-from ...obs import configure as obs_configure
-from ...obs import flush as obs_flush
-from ...obs import get_tracer
-from ...obs import instant as obs_instant
-from ...obs import span
-from ...obs.metrics import phase_totals
-from ...parallel.allreduce import TermGradAccumulator, load_reduced
-from ...testing import failpoints
-from ..sharedmem import CommitSlab, SharedGroupState, SharedStateSpec
-from ..transport import Channel, RetryPolicy, TransportError, socket_channel
-from .wire import Link, RankComms, accept_links, coords_of, dial_links, open_listener
+from ..launcher import _worker_shell
+from ..transport import Channel, RetryPolicy, socket_channel
+from ..worker import run_rank
+from .wire import Link, RankComms, accept_links, dial_links, machine_of, open_listener
 
 __all__ = ["fabric_rank_shell"]
 
@@ -88,12 +57,6 @@ def _start_parent_watchdog(poll: float = 0.5) -> None:
     threading.Thread(target=watch, daemon=True, name="ppid-watchdog").start()
 
 
-def _attach_states(specs: List[dict]) -> List[SharedGroupState]:
-    return [
-        SharedGroupState(SharedStateSpec.from_dict(d), create=False) for d in specs
-    ]
-
-
 def _wire(
     ctrl: Channel,
     listener: socket.socket,
@@ -102,8 +65,7 @@ def _wire(
     topology: str,
     retry: RetryPolicy,
     collective_timeout: float,
-    handshake_timeout: float,
-) -> Tuple[RankComms, int]:
+) -> RankComms:
     """Receive the controller's link plan and build this generation's
     communicators (dial-all-then-accept, see :mod:`.wire`)."""
     frame = ctrl.expect("wire")
@@ -125,461 +87,70 @@ def _wire(
             listener,
             links,
             generation,
-            handshake_timeout=handshake_timeout,
+            handshake_timeout=retry.handshake_timeout,
             default_timeout=collective_timeout,
         )
     except BaseException:
         for ch in dialed.values():
             ch.close()
         raise
-    return RankComms(plan, topology, rank, {**dialed, **accepted}), generation
+    return RankComms.from_channels(plan, topology, rank, {**dialed, **accepted})
 
 
-def _park(
-    ctrl: Channel, rank: int, exc: BaseException, iteration: int
-) -> Tuple[int, bool]:
-    """Report a fabric failure to the controller and await its verdict.
-
-    Returns ``(generation, finalize)`` — ``finalize`` means the fault
-    landed in the finalization window and the rank should replay
-    finalization from the sealed final commit instead of re-wiring.
-    """
-    obs_instant("park", iteration=int(iteration), error=repr(exc))
-    obs_flush()
-    try:
-        ctrl.send(
-            "parked",
-            meta={"rank": rank, "error": repr(exc), "iteration": int(iteration)},
-        )
-    except Exception:
-        raise SystemExit(1) from exc
-    while True:
-        frame = ctrl.recv()  # channel default timeout bounds the wait
-        if frame.tag == "resume":
-            return int(frame.meta["generation"]), bool(
-                frame.meta.get("finalize", False)
-            )
-        if frame.tag == "abort":
-            raise SystemExit(1)
-
-
-# ------------------------------------------------------------- entrypoint
 def fabric_rank_shell(rank: int, bundle: dict) -> None:
     """Process target the host agent spawns for each of its ranks: dial
     the controller, run the rank, report ``result``/``error``."""
     _start_parent_watchdog()
-    if bundle.get("clear_failpoints"):
-        failpoints.neutralize()
-    ctrl: Optional[Channel] = None
-    try:
-        host, port = bundle["controller"]
-        retry = RetryPolicy(
-            connect_timeout=float(bundle.get("connect_timeout", 20.0)),
-            handshake_timeout=float(bundle.get("handshake_timeout", 30.0)),
-        )
-        ctrl = socket_channel(
-            host, port, retry, default_timeout=float(bundle.get("timeout", 600.0))
-        )
-        meta, arrays = _rank_main(rank, bundle, ctrl, retry)
-        ctrl.send("result", meta=meta or {}, arrays=arrays or {})
-    except BaseException:  # noqa: BLE001 - every failure must reach the controller
-        try:
-            if ctrl is not None:
-                ctrl.send(
-                    "error",
-                    meta={"rank": rank, "error": traceback.format_exc()},
-                )
-        except Exception:
-            pass
-        raise SystemExit(1)
+    retry = RetryPolicy()
+    host, port = bundle["controller"]
+    # a rank that cannot reach the controller has nobody to report to: it
+    # exits nonzero and the agent's child/exit frame tells the story
+    ctrl = socket_channel(host, port, retry, default_timeout=float(bundle["timeout"]))
+    _worker_shell(_fabric_rank, rank, ctrl, {"bundle": bundle, "retry": retry})
 
 
-def _rank_main(
-    rank: int, bundle: dict, ctrl: Channel, retry: RetryPolicy
+def _fabric_rank(
+    rank: int, ctrl: Channel, *, bundle: dict, retry: RetryPolicy
 ) -> Tuple[dict, Dict[str, np.ndarray]]:
-    from ...train.distributed import DistTGLTrainer
-    from ..launcher import decode_commit, encode_commit, load_trainer_state
-
-    cfg = ExperimentConfig.from_dict(bundle["config_dict"])
-    plan = cfg.parallel
-    i, j, k = plan.i, plan.j, plan.k
-    world = i * j * k
-    m, r, s = coords_of(plan, rank)
-    machine = m // plan.copies_per_machine
-    topology = bundle.get("topology", "star")
-    train_meta = bundle.get("train_meta") or {}
-    agent_pid = int(bundle.get("agent_pid") or os.getppid())
-    collective_timeout = float(bundle.get("collective_timeout", 120.0))
-    handshake_timeout = float(bundle.get("handshake_timeout", 30.0))
-
-    # trace lane carries the host id so the merged timeline shows which
-    # machine every span ran on; the controller's measured clock offset
-    # re-anchors wall-clock timestamps into the controller's timebase
-    if train_meta.get("trace_dir"):
-        obs_configure(
-            train_meta["trace_dir"], rank=rank, lane=f"h{machine}.rank{rank}"
+    # ---- rendezvous first, so every later failure has a channel the
+    # controller listens on: my listener address is how peers reach me
+    listener = open_listener()
+    try:
+        lhost, lport = listener.getsockname()
+        ctrl.send(
+            "hello/rank",
+            meta={
+                "rank": rank,
+                "host": lhost,
+                "port": lport,
+                "pid": os.getpid(),
+                "generation": int(bundle["generation"]),
+            },
         )
-        offset = float(bundle.get("clock_offset") or 0.0)
-        tracer = get_tracer()
-        if offset and tracer is not None:
-            tracer.epoch_anchor += offset
+        cfg = ExperimentConfig.from_dict(bundle["config_dict"])
+        plan, topology = cfg.parallel, cfg.train.topology
+        agent_pid = int(bundle["agent_pid"])
 
-    # ---- rendezvous: my listener address is how peers reach me
-    listener = open_listener(bundle.get("bind_host", "127.0.0.1"))
-    lhost, lport = listener.getsockname()
-    ctrl.send(
-        "hello/rank",
-        meta={
-            "rank": rank,
-            "host": lhost,
-            "port": lport,
-            "pid": os.getpid(),
-            "machine": machine,
-            "generation": int(bundle.get("generation", 0)),
-        },
-    )
+        def kill_machine() -> None:
+            # take the whole host down, not just this rank — siblings die
+            # through their parent watchdogs
+            try:
+                os.kill(agent_pid, signal.SIGKILL)
+            except OSError:
+                pass
 
-    dataset = cfg.build_dataset()
-    trainer = DistTGLTrainer(dataset, cfg.parallel, cfg.trainer_spec(), rank=rank)
-    spec = trainer.spec
-
-    shared = SharedGroupState(
-        SharedStateSpec.from_dict(bundle["shared_specs"][m]), create=False
-    )
-    own_group = trainer.groups[m]
-    own_group.memory = shared.memory
-    own_group.mailbox = shared.mailbox
-    own_group.view = DirectMemoryView(shared.memory, shared.mailbox)
-    for g in trainer.groups:
-        if g.index != m:
-            g.memory = None
-            g.mailbox = None
-            g.view = None
-    view = own_group.view
-
-    slab = CommitSlab.attach(bundle["commit_spec"])
-    shadows: Optional[List[SharedGroupState]] = None
-    if r == 0 and s == 0 and bundle.get("shadow_specs") is not None:
-        shadows = _attach_states(bundle["shadow_specs"][m])
-
-    def load_committed() -> dict:
-        meta, arrays, book = decode_commit(slab.read())
-        load_trainer_state(trainer, meta, arrays)
-        return book
-
-    book = load_committed()
-
-    target = int(train_meta["target_iteration"])
-    eval_every = int(train_meta.get("eval_every_sweeps", 1))
-    verbose = bool(train_meta.get("verbose", False))
-    commit_every = max(1, int(train_meta.get("commit_every", 1)))
-    visits_per_iteration = j * k
-
-    history: List[dict] = list(book["history"])
-    recent: List[float] = list(book["recent"])
-    last_eval_sweeps = int(book["last_eval_sweeps"])
-    cache_entry: Optional[object] = None
-    prev_batch = {g.index: g.prev_batch for g in trainer.groups}
-    substep = 0
-    blocks_done = 0
-    sync_time = 0.0
-    commit_work = 0.0
-    comms: Optional[RankComms] = None
-    generation = int(bundle.get("generation", 0))
-
-    loop_start = time.perf_counter()
-    cpu_start = time.process_time()
-
-    def synced(phase, fn, *args, **kwargs):
-        nonlocal sync_time
-        tag = args[0] if args and isinstance(args[0], str) else kwargs.get("tag")
-        span_args = {"cat": "sync"}
-        if tag is not None:
-            span_args["tag"] = tag
-        with span(phase, **span_args):
-            t0 = time.perf_counter()
-            out = fn(*args, **kwargs)
-            sync_time += time.perf_counter() - t0
-        return out
-
-    def kill_machine() -> None:
-        # the fabric.machine drill: take the whole host down, not just this
-        # rank — siblings die through their parent watchdogs
-        try:
-            os.kill(agent_pid, signal.SIGKILL)
-        except OSError:
-            pass
-
-    def commit_window() -> None:
-        nonlocal commit_work
-        synced("barrier", comms.world.barrier, "commit/enter")
-        slot = slab.next_slot
-        t0 = time.perf_counter()
-        with span("commit", cat="commit", slot=int(slot)):
-            if shadows is not None:
-                shadows[slot].memory.copy_from(shared.memory)
-                shadows[slot].mailbox.copy_from(shared.mailbox)
-            if rank == 0:
-                for g in trainer.groups:
-                    g.prev_batch = prev_batch[g.index]
-                slab.write(
-                    slot,
-                    encode_commit(
-                        trainer,
-                        {
-                            "history": history,
-                            "recent": recent,
-                            "last_eval_sweeps": last_eval_sweeps,
-                        },
-                    ),
-                )
-        commit_work += time.perf_counter() - t0
-        iteration = trainer._iteration
-        synced(
-            "barrier",
-            comms.world.barrier,
-            "commit/seal",
-            root_section=lambda: slab.seal(slot, iteration),
+        return run_rank(
+            rank,
+            ctrl,
+            # the trace lane carries the host id so the merged timeline
+            # shows which machine every span ran on
+            {**bundle, "lane": f"h{machine_of(plan, rank)}.rank{rank}"},
+            fanout=True,
+            connect=lambda _generation: _wire(
+                ctrl, listener, rank, plan, topology, retry,
+                float(bundle["collective_timeout"]),
+            ),
+            kill_machine=kill_machine,
         )
-        obs_flush()
-
-    def wait_token(tag: str) -> None:
-        comms.tok_prev.expect("tok/pass")
-
-    def run_loop() -> None:
-        nonlocal cache_entry, substep, blocks_done, last_eval_sweeps
-        synced("barrier", comms.world.barrier, "start")
-        while trainer._iteration < target:
-            failpoints.fire(
-                "worker.step",
-                rank=rank,
-                step=trainer._iteration,
-                pipe_drop=comms.close,
-            )
-            failpoints.fire(
-                "fabric.machine",
-                rank=rank,
-                step=trainer._iteration,
-                crash=kill_machine,
-            )
-            with use_fused(spec.fused):
-                if substep == 0:
-                    # every rank advances every cursor (integer arithmetic),
-                    # so wrap flags and commit metadata need no messages
-                    blocks = {g.index: g.next_block(j) for g in trainer.groups}
-                    own_block = blocks[m]
-                    wraps = []
-                    pb = prev_batch[m]
-                    for b in own_block:
-                        wraps.append(b <= pb)
-                        pb = b
-                    for g_idx, block in blocks.items():
-                        prev_batch[g_idx] = block[-1]
-                    b_idx = own_block[r]
-                    wrap = wraps[r]
-
-                    # pipelined canonical pass: this row may start as soon
-                    # as the previous row's write-back has committed
-                    if comms.tok_prev is not None and s == 0:
-                        synced("barrier", wait_token, "row-token")
-
-                    def reset_if_wrap():
-                        if wrap:
-                            shared.memory.reset()
-                            shared.mailbox.reset()
-
-                    synced(
-                        "barrier",
-                        comms.row.barrier,
-                        "pre-read",
-                        root_section=reset_if_wrap,
-                    )
-                    batch = trainer.loader.batch(b_idx)
-                    shard = batch.split_local(i)[s] if i > 1 else batch
-                    read = trainer._read_shard(shard, view)
-                    synced("barrier", comms.row.barrier, "post-read")
-                    entry, wb = trainer._forward_shard(read, batch.size, row=r)
-
-                    def commit_wb():
-                        nonlocal commit_work
-                        t0 = time.perf_counter()
-                        with span("writeback", cat="commit"):
-                            if wb is not None:
-                                TGN.apply_writeback(
-                                    wb, shared.memory, shared.mailbox
-                                )
-                        commit_work += time.perf_counter() - t0
-
-                    synced(
-                        "serial", comms.row.serial_section, commit_wb,
-                        tag="writeback",
-                    )
-                    if comms.tok_next is not None and s == 0:
-                        comms.tok_next.send("tok/pass")
-                    cache_entry = entry
-
-                # ---- gradient step: ONE loss term on this rank, reduced in
-                # two bitwise-preserving hops (row-order slot fold, then
-                # block-order leader allreduce on the topology overlay)
-                acc = TermGradAccumulator(trainer.optimizer.params)
-                if cache_entry is not None:
-                    trainer._accumulate_term(acc, cache_entry, r, substep)
-                vec = acc.to_vector()
-                part = (
-                    synced("allreduce", comms.slot.reduce_to_root, vec)
-                    if j > 1
-                    else vec
-                )
-                if r == 0:
-                    total = synced("allreduce", comms.leader.allreduce_sum, part)
-                    if j > 1:
-                        synced("allreduce", comms.slot.broadcast, {"vec": total})
-                else:
-                    total = synced("allreduce", comms.slot.broadcast).array("vec")
-                global_loss = load_reduced(trainer.optimizer.params, total)
-                clip_grad_norm(trainer.optimizer.params, spec.grad_clip)
-                trainer.optimizer.step()
-                recent.append(global_loss)
-
-            substep = (substep + 1) % j
-            trainer._iteration += 1
-
-            group0 = trainer.groups[0]
-            if group0.sweeps_completed >= last_eval_sweeps + eval_every:
-                last_eval_sweeps = group0.sweeps_completed
-                trainer._sweep_negative_offset += j
-                synced("barrier", comms.world.barrier, "pre-eval")
-                if rank == 0:
-                    val = trainer._evaluate_split("val", warm_group=group0)
-                    point = {
-                        "iteration": trainer._iteration,
-                        "edges_traversed": trainer._iteration
-                        * visits_per_iteration
-                        * trainer.global_batch,
-                        "train_loss": float(np.mean(recent)),
-                        "val_metric": val.metric,
-                    }
-                    history.append(point)
-                    if verbose:
-                        print(
-                            f"[{plan.label()}|fabric w{world}] "
-                            f"it={trainer._iteration} "
-                            f"loss={point['train_loss']:.4f} "
-                            f"val={val.metric:.4f}"
-                        )
-                recent.clear()
-                synced("barrier", comms.world.barrier, "post-eval")
-
-            if substep == 0:
-                blocks_done += 1
-                if blocks_done % commit_every == 0:
-                    commit_window()
-
-        # final seal before the end barrier: the finalization window
-        # (trailing eval, bench gather, result report) replays from this
-        # commit if a fault lands in it — see the process worker
-        if slab.header[1] < trainer._iteration:
-            commit_window()
-
-        synced("barrier", comms.world.barrier, "end")
-        # kill-after-end-barrier drill (hit-counter keyed)
-        failpoints.fire("worker.finalize", rank=rank, pipe_drop=comms.close)
-
-    # ---- supervised execution: wire / run / park / rewire.  A rank in
-    # finalize-only mode (respawned into, or resumed inside, the
-    # finalization window) skips wiring and collectives entirely — the
-    # sealed final commit it loaded is the end-of-run state.
-    bench = None
-    finalize_only = bool(bundle.get("finalize_only"))
-    while not finalize_only:
-        try:
-            if comms is None:
-                comms, generation = _wire(
-                    ctrl, listener, rank, plan, topology, retry,
-                    collective_timeout, handshake_timeout,
-                )
-            run_loop()
-            obs_flush()
-            bench = comms.world.gather_meta(
-                {
-                    "rank": rank,
-                    "host": machine,
-                    "loop_s": time.perf_counter() - loop_start,
-                    "sync_s": max(sync_time - commit_work, 0.0),
-                    "cpu_s": time.process_time() - cpu_start,
-                    "commit_s": commit_work,
-                    "phases": phase_totals(),
-                }
-            )
-            break
-        except TransportError as exc:
-            # close EVERYTHING first: the EOF cascade parks the rest of the
-            # fabric within one collective op instead of one timeout
-            if comms is not None:
-                comms.close()
-                comms = None
-            generation, finalize = _park(
-                ctrl, rank, exc, iteration=trainer._iteration
-            )
-            book = load_committed()
-            history = list(book["history"])
-            recent = list(book["recent"])
-            last_eval_sweeps = int(book["last_eval_sweeps"])
-            prev_batch = {g.index: g.prev_batch for g in trainer.groups}
-            substep = 0
-            blocks_done = 0
-            cache_entry = None
-            if finalize:
-                # no collectives remain to rejoin (the controller sends no
-                # wire plan): finish from the sealed state; bench is lost
-                break
-
-    if comms is not None:
-        comms.close()
-    listener.close()
-
-    # ---- finalization (rank 0 only): trailing eval, test metric, state out
-    if rank != 0:
-        shared.close()
-        obs_flush()
-        return {"rank": rank, "ok": True}, {}
-
-    if not history:
-        val = trainer._evaluate_split("val", warm_group=trainer.groups[0])
-        history.append(
-            {
-                "iteration": trainer._iteration,
-                "edges_traversed": trainer._iteration
-                * visits_per_iteration
-                * trainer.global_batch,
-                "train_loss": float(np.mean(recent)) if recent else float("nan"),
-                "val_metric": val.metric,
-            }
-        )
-    vals = [h["val_metric"] for h in history]
-    best_idx = int(np.argmax(vals))
-    test = trainer._evaluate_split("test", warm_group=trainer.groups[0])
-
-    from ..launcher import snapshot_trainer_state
-
-    for g in trainer.groups:
-        g.prev_batch = prev_batch[g.index]
-    snap = snapshot_trainer_state(trainer)
-    meta = {
-        **snap["meta"],
-        "rank": 0,
-        "ok": True,
-        "config_label": plan.label(),
-        "history": history,
-        "best_val": vals[best_idx],
-        "iterations_to_best": history[best_idx]["iteration"],
-        "iterations_run": trainer._iteration,
-        "test_metric": test.metric,
-        "bench": bench,
-        "world": world,
-        "machines": plan.machines,
-        "topology": topology,
-    }
-    shared.close()
-    obs_flush()
-    return meta, snap["arrays"]
+    finally:
+        listener.close()

@@ -1,48 +1,65 @@
-"""Process-group lifecycle: spawn, monitor, join, recover, propagate failures.
+"""Fit orchestration: one supervisor over two spawners.
 
-:class:`ProcessGroup` runs one module-level ``target`` per rank in real OS
-processes (``spawn`` start method — children rebuild state from their
-arguments rather than inheriting an address space, matching the runtime's
-"reconstruct from config" contract).  Every rank gets a control
-:class:`~repro.runtime.transport.Channel` to the parent; the worker shell
-reports a ``result`` frame on success and an ``error`` frame (with the
-remote traceback) on any exception.
+:func:`run_process_fit` (and :func:`~repro.runtime.fabric.run_fabric_fit`
+over the same :func:`_run_fit`) executes a config across real OS
+processes, **continuing** from a local trainer's state: it allocates the
+shared-memory segments (live node state per memory group, double-buffered
+shadow slots, one :class:`~repro.runtime.sharedmem.CommitSlab` holding the
+sealed initial commit), runs the fleet of
+:func:`~repro.runtime.worker.run_rank` ranks under the
+:class:`Supervisor`, and folds rank 0's result plus the final shared state
+back into a :class:`~repro.train.distributed.TrainResult` the Session
+applies to its local trainer.
 
-The parent's :meth:`join` multiplexes over control channels *and* process
-sentinels, so every failure mode becomes one raised
-:class:`WorkerFailure` instead of a hang:
+The :class:`Supervisor` is the parent half of the rank loop's
+commit / park / rollback protocol, and exists once.  Every rank has a
+control :class:`~repro.runtime.transport.Channel` carrying ``result``,
+``error`` (with the remote traceback) and ``parked`` frames up and
+``resume`` / ``abort`` down; every failure mode becomes either a recovery
+or one raised :class:`WorkerFailure`, never a hang:
 
-* a worker raises → its traceback travels back in the error frame;
-* a worker dies without a frame (segfault, ``kill -9``) → the exit code is
-  reported;
-* a worker wedges → the deadline expires, the fleet is terminated, and the
+* a rank raises → its traceback travels back in the error frame;
+* a rank dies without a frame (segfault, ``kill -9``, a lost machine) →
+  its spawner reports the death;
+* a rank wedges → its peers park on their collective timeout, and after
+  ``RecoveryPolicy.grace`` the supervisor kills the straggler;
+* the whole fit overruns ``timeout`` → the fleet is torn down and the
   timeout is reported.
 
-:func:`run_process_fit` is the training orchestration on top: allocate the
-shared-memory segments (live node state per memory group, double-buffered
-shadow slots, and one :class:`~repro.runtime.sharedmem.CommitSlab`), wire
-``max_restarts + 3`` generations of collective communicators (the budget
-plus headroom for same-episode retries), spawn
-``i×k`` :func:`~repro.runtime.worker.train_worker` ranks under the
-**elastic supervisor**, and fold rank 0's result plus the final shared
-state back into a :class:`~repro.train.distributed.TrainResult` + state
-dict the Session applies to its local trainer.
+**Recovery** (:class:`RecoveryPolicy`): once every rank is parked, dead or
+done, the supervisor restores the live segments from the last sealed
+commit's shadow slots, resumes the parked ranks on the next generation,
+has the spawner respawn the dead ones (failpoints neutralized) and wire
+that generation, and the fleet rolls back to the sealed block boundary and
+re-executes.  Commits are barrier-guarded and double-buffered, so the
+rollback target is always a complete consistent state, and every backend
+executes bit-exact arithmetic, so a recovered run finishes **bitwise
+identical** to an unfaulted one.  If the sealed commit already covers the
+iteration plan the fault landed in the *finalization window*: done ranks
+stay done and the rest replay finalization from the seal with no
+collectives and no new generation.  Restarts are counted per **episode** —
+every recovery that rolls back to the same sealed commit (a second rank
+dying while the first rollback re-executes, a fault inside recovery
+itself, a finalization replay) is one failure event — and bounded by
+``max_restarts``; past the budget the run raises :class:`WorkerFailure`.
 
-Elastic restart (:class:`RecoveryPolicy`): when a rank crashes, wedges or
-drops its pipes mid-fit, the surviving ranks park on their control
-channels (see :mod:`repro.runtime.worker`), the supervisor restores the
-live segments from the last sealed commit's shadow slots, respawns the
-dead ranks (failpoints neutralized), hands everyone the next communicator
-generation, and the fleet rolls back to the last committed step boundary
-and re-executes.  Because commits are barrier-guarded and double-buffered,
-the rollback target is always a complete consistent state, and because
-both backends execute bit-exact arithmetic, a recovered run finishes
-**bitwise identical** to an unfaulted one.  Restarts are bounded; past the
-budget the run raises :class:`WorkerFailure` exactly as before.
+What genuinely differs between backends lives in a **spawner** — start or
+kill a rank, obtain its control channel, observe its death, wire a
+generation's communicators:
+
+* :class:`LocalSpawner` (``backend="process"``) — ``i×k`` ``spawn``-method
+  children of this process over duplex pipes, death observed through
+  process sentinels, ``max_restarts + 3`` communicator generations
+  pre-wired over pipes and handed to each rank with its spawn arguments.
+* :class:`~repro.runtime.fabric.launcher.AgentSpawner`
+  (``backend="fabric"``) — ``i×j×k`` ranks started by host agents joined
+  over a TCP rendezvous, death observed through agent reports, heartbeats
+  and channel EOF, each generation wired peer-to-peer from a link plan.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing as mp
 import time
@@ -54,9 +71,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..obs import get_registry
-from ..testing import failpoints
 from ..obs.merge import merge_trace_dir
 from ..obs.trace import Tracer, resolve_trace_dir
+from ..testing import failpoints
 from .collectives import (
     Communicator,
     make_local_communicators,
@@ -104,198 +121,7 @@ def _worker_shell(target: Callable, rank: int, channel: Channel, kwargs: dict) -
         raise SystemExit(1)
 
 
-class ProcessGroup:
-    """A fleet of worker processes with failure propagation.
-
-    Parameters
-    ----------
-    target:
-        Module-level callable ``target(rank, channel, **kwargs) ->
-        (meta, arrays)``; must be importable from the child (spawn).
-    rank_kwargs:
-        One kwargs dict per rank; its length defines the world size.
-    timeout:
-        Join deadline in seconds (also the default control-channel receive
-        timeout).  Expiry terminates the fleet and raises.
-
-    A ``ProcessGroup`` is a context manager: ``with ProcessGroup(...) as
-    g: g.start().join()`` guarantees the fleet is torn down (processes
-    reaped, channels closed) even when an assertion inside the block
-    fails — chaos tests must never leak orphan processes.  ``shutdown``
-    (and therefore ``__exit__`` and repeated ``terminate``) is idempotent.
-    """
-
-    def __init__(
-        self,
-        target: Callable,
-        rank_kwargs: List[dict],
-        *,
-        name: str = "repro-rt",
-        timeout: float = DEFAULT_TIMEOUT,
-        start_method: str = "spawn",
-    ) -> None:
-        if not rank_kwargs:
-            raise ValueError("need at least one rank")
-        self.world = len(rank_kwargs)
-        self.timeout = timeout
-        ctx = mp.get_context(start_method)
-        self.channels: List[Channel] = []
-        self._child_channels: List[Channel] = []
-        self.processes: List[mp.Process] = []
-        for rank, kwargs in enumerate(rank_kwargs):
-            parent_ch, child_ch = pipe_channel_pair(timeout)
-            self.channels.append(parent_ch)
-            self._child_channels.append(child_ch)
-            self.processes.append(
-                ctx.Process(
-                    target=_worker_shell,
-                    args=(target, rank, child_ch, kwargs),
-                    name=f"{name}-{rank}",
-                    daemon=True,
-                )
-            )
-        self._started = False
-        self._closed = False
-
-    # ------------------------------------------------------------ lifecycle
-    def start(self) -> "ProcessGroup":
-        for p in self.processes:
-            p.start()
-        # start() pickled the child ends across (the resource sharer holds
-        # its own dups until each child collects them), so the parent's
-        # copies only waste fds and mask EOF on a dead worker's pipe
-        for ch in self._child_channels:
-            ch.close()
-        self._child_channels.clear()
-        self._started = True
-        return self
-
-    def terminate(self) -> None:
-        """Kill whatever is still alive and release the channels (safe to
-        call repeatedly, and before :meth:`start`)."""
-        for p in self.processes:
-            if self._started and p.is_alive():
-                p.terminate()
-        for p in self.processes:
-            if self._started:
-                p.join(timeout=5.0)
-                if p.is_alive():  # pragma: no cover - last resort
-                    p.kill()
-                    p.join(timeout=5.0)
-        for ch in self.channels + self._child_channels:
-            ch.close()
-        self._closed = True
-
-    def shutdown(self) -> None:
-        """Idempotent teardown alias (the context-manager exit path)."""
-        if self._closed:
-            return
-        self.terminate()
-
-    def __enter__(self) -> "ProcessGroup":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-    def poll_failures(self) -> None:
-        """Raise if any rank already died badly (non-blocking health check)."""
-        failures: Dict[int, str] = {}
-        for rank, p in enumerate(self.processes):
-            if self._started and not p.is_alive() and (p.exitcode or 0) != 0:
-                msg = f"exited with code {p.exitcode}"
-                ch = self.channels[rank]
-                try:
-                    # a dead worker's pipe stays poll()-readable at EOF, so
-                    # the drain must both stop on the error frame and treat
-                    # the eventual EOF as end-of-diagnostics, not an error
-                    while ch.poll(0.0):
-                        frame = ch.recv(timeout=1.0)
-                        if frame.tag == "error":
-                            msg = frame.meta.get("error", msg)
-                            break
-                except TransportError:
-                    pass
-                failures[rank] = msg
-        if failures:
-            self.terminate()
-            raise WorkerFailure(failures)
-
-    # ----------------------------------------------------------------- join
-    def join(self, timeout: Optional[float] = None) -> List[Frame]:
-        """Wait for every rank's ``result`` frame; raise on any failure.
-
-        Returns the result frames in rank order.  On the first error frame
-        or abnormal exit the remaining ranks are terminated — a crash
-        surfaces as one raised :class:`WorkerFailure`, never a hang.
-        """
-        deadline = time.monotonic() + (timeout if timeout is not None else self.timeout)
-        results: Dict[int, Frame] = {}
-        failures: Dict[int, str] = {}
-        pending = set(range(self.world))
-        try:
-            while pending and not failures:
-                budget = deadline - time.monotonic()
-                if budget <= 0:
-                    for rank in sorted(pending):
-                        failures[rank] = f"no result within {self.timeout:.0f}s"
-                    break
-                conn_map = {
-                    self.channels[r].endpoint.conn: r for r in pending
-                }
-                sentinel_map = {self.processes[r].sentinel: r for r in pending}
-                ready = mp.connection.wait(
-                    list(conn_map) + list(sentinel_map), timeout=min(budget, 1.0)
-                )
-                for obj in ready:
-                    if obj in conn_map:
-                        rank = conn_map[obj]
-                        try:
-                            frame = self.channels[rank].recv(timeout=1.0)
-                        except TransportError as exc:
-                            failures.setdefault(rank, f"control channel died: {exc}")
-                            continue
-                        if frame.tag == "result":
-                            results[rank] = frame
-                            pending.discard(rank)
-                        elif frame.tag == "error":
-                            failures[rank] = frame.meta.get("error", "unknown error")
-                        # other tags (logs/progress) are ignored here
-                    else:
-                        rank = sentinel_map[obj]
-                        p = self.processes[rank]
-                        p.join(timeout=0.1)
-                        # drain any frame that raced the exit
-                        ch = self.channels[rank]
-                        while ch.poll(0.0) and rank in pending:
-                            try:
-                                frame = ch.recv(timeout=1.0)
-                            except TransportError:
-                                break
-                            if frame.tag == "result":
-                                results[rank] = frame
-                                pending.discard(rank)
-                            elif frame.tag == "error":
-                                failures[rank] = frame.meta.get(
-                                    "error", "unknown error"
-                                )
-                        if rank in pending and rank not in failures:
-                            failures[rank] = (
-                                f"exited with code {p.exitcode} before reporting"
-                            )
-        finally:
-            if failures or pending:
-                self.terminate()
-        if failures:
-            raise WorkerFailure(failures)
-        for p in self.processes:
-            p.join(timeout=5.0)
-        for ch in self.channels:
-            ch.close()
-        return [results[r] for r in range(self.world)]
-
-
-# -------------------------------------------------------------- train fit
+# ----------------------------------------------------------- commit codec
 def snapshot_trainer_state(trainer) -> dict:
     """The resumable half of a trainer: weights, optimizer, cursors.
 
@@ -406,17 +232,6 @@ class RecoveryPolicy:
             if self.park_grace is not None
             else self.collective_timeout + 15.0
         )
-
-
-def _make_group_comms(plan, world_timeout: float) -> List[Communicator]:
-    """One group communicator per rank (the i shards of each memory group)."""
-    comms: List[Communicator] = []
-    for _ in range(plan.k):
-        if plan.i == 1:
-            comms.append(Communicator(0, 1))
-        else:
-            comms.extend(make_local_communicators(plan.i, default_timeout=world_timeout))
-    return comms
 
 
 def prepare_recovery_state(
@@ -607,216 +422,164 @@ class SlabCheckpointer:
         self.last_exported = int(sealed)
 
 
-class _ElasticSupervisor:
-    """Parent-side fleet supervisor with rollback recovery.
+class Supervisor:
+    """Parent-side fleet supervisor with rollback recovery (see the module
+    docstring for the protocol; a spawner supplies the mechanics).
 
-    Owns the worker processes and their control channels directly (rather
-    than through :class:`ProcessGroup`) because recovery respawns
-    *individual* ranks mid-run with fresh control pipes and a later
-    communicator generation.
+    A spawner provides ``start(sup)`` (bring up the initial fleet),
+    ``spawn(rank)`` (start a replacement from ``sup.spawn_bundle()``),
+    ``kill(rank)``, ``wire(deadline, finalize)`` (make the current
+    generation's fleet reachable and, unless finalizing, connected),
+    ``pump(timeout)`` (wait for events and feed them to :meth:`drain` /
+    :meth:`mark_dead`), ``close(kill)`` (idempotent teardown), ``world``
+    (its rank count — where ``j`` runs is the spawner's fixed layout),
+    ``chans`` (rank → control channel) and ``generations`` (pre-wired
+    generation count, ``None`` when generations are wired on demand).
     """
 
     def __init__(
         self,
         *,
-        world: int,
-        make_kwargs: Callable[[int, int], dict],
+        spawner,
+        bundle: dict,
         slab: CommitSlab,
         shadow_pairs: List[List[SharedGroupState]],
         live_states: List[SharedGroupState],
-        world_gens: List[List[Communicator]],
-        group_gens: List[List[Communicator]],
         policy: RecoveryPolicy,
         timeout: float,
-        name: str = "repro-rt",
         tracer: Optional[Tracer] = None,
-        reduce_gens: Optional[List[List]] = None,
-        target_iteration: Optional[int] = None,
-        checkpointer: Optional["SlabCheckpointer"] = None,
+        checkpointer: Optional[SlabCheckpointer] = None,
     ) -> None:
-        self.world = world
-        self.make_kwargs = make_kwargs
+        self.spawner = spawner
+        self.world = world = spawner.world
+        self.bundle = bundle
         self.slab = slab
         self.shadow_pairs = shadow_pairs
         self.live_states = live_states
-        self.world_gens = world_gens
-        self.group_gens = group_gens
-        self.reduce_gens = reduce_gens or []
         self.policy = policy
         self.timeout = timeout
-        self.name = name
         self.tracer = tracer              # supervisor lane of the run trace
-        self.target_iteration = target_iteration
         self.checkpointer = checkpointer
-        self.ctx = mp.get_context("spawn")
-        self.procs: Dict[int, mp.Process] = {}
-        self.chans: Dict[int, Channel] = {}
-        self.status: Dict[int, str] = {}      # running | parked | dead | done
+        # the iteration plan's absolute target: a sealed commit at (or
+        # past) it means faults land in the finalization window
+        self.target_iteration = int(bundle["train_meta"]["target_iteration"])
+        # running | parked | dead | done ("dead" also covers not-yet-started)
+        self.status: Dict[int, str] = {rank: "dead" for rank in range(world)}
         self.diags: Dict[int, str] = {}
         self.park_iters: Dict[int, int] = {}  # iteration each rank parked at
         self.results: Dict[int, Frame] = {}
         self.generation = 0
         self.restarts = 0
-        # restart accounting is per *episode* — every recovery that rolls
-        # back to the same sealed commit (a second rank dying while the
-        # first rollback re-executes, a fault inside _recover itself, a
-        # finalization-window replay) is one failure event, not several
         self._episode_seal: Optional[Tuple[int, int]] = None
         self._episode_retries = 0
+        # once the fleet enters finalize recovery, every later spawn is a
+        # finalize-only replay (the seal cannot move backwards)
+        self._finalizing = False
 
-    # ------------------------------------------------------------ lifecycle
-    def _spawn(self, rank: int, respawn: bool, finalize: bool = False) -> None:
-        from .worker import train_worker
+    # ------------------------------------------------------------ telemetry
+    def span(self, name: str, **args):
+        if self.tracer is None:
+            return contextlib.nullcontext()
+        return self.tracer.span(name, **args)
 
-        old = self.chans.pop(rank, None)
-        if old is not None:
-            old.close()
-        parent_ch, child_ch = pipe_channel_pair(self.timeout)
-        kwargs = self.make_kwargs(rank, self.generation)
-        kwargs["clear_failpoints"] = respawn
-        kwargs["finalize_only"] = finalize
-        proc = self.ctx.Process(
-            target=_worker_shell,
-            args=(train_worker, rank, child_ch, kwargs),
-            name=f"{self.name}-{rank}g{self.generation}",
-            daemon=True,
-        )
-        proc.start()
-        child_ch.close()
-        self.procs[rank] = proc
-        self.chans[rank] = parent_ch
-        self.status[rank] = "running"
+    def instant(self, name: str, **args) -> None:
+        if self.tracer is not None:
+            self.tracer.instant(name, **args)
 
-    def _kill(self, rank: int) -> None:
-        p = self.procs.get(rank)
-        if p is not None and p.is_alive():
-            p.kill()
-            p.join(timeout=5.0)
+    # ------------------------------------------------------- spawner-facing
+    def spawn_bundle(self) -> dict:
+        """The bundle for a rank started *now*: current generation,
+        failpoints neutralized once any recovery has begun, finalize-only
+        once the run is in finalize recovery."""
+        return {
+            **self.bundle,
+            "generation": self.generation,
+            "clear_failpoints": self.restarts > 0,
+            "finalize_only": self._finalizing,
+        }
 
-    def _cleanup(self) -> None:
-        for rank in range(self.world):
-            self._kill(rank)
-        for p in self.procs.values():
-            p.join(timeout=5.0)
-        for ch in self.chans.values():
-            ch.close()
-        for gen in range(self.generation, len(self.world_gens)):
-            for comm in self._gen_comms(gen):
-                comm.close()
+    def drain(self, rank: int, ch: Channel) -> bool:
+        """Dispatch whatever frames ``rank`` has sent (non-blocking);
+        ``False`` once its channel is dead.  A rank already declared dead
+        stays dead until respawned — a ``parked`` frame still in flight
+        from a rank on a lost machine must not resurrect it."""
+        try:
+            while self.status[rank] in ("running", "parked") and ch.poll(0.0):
+                frame = ch.recv(timeout=1.0)
+                if frame.tag == "result":
+                    self.results[rank] = frame
+                    self.status[rank] = "done"
+                elif frame.tag == "parked":
+                    self.status[rank] = "parked"
+                    self.diags.setdefault(
+                        rank, f"parked: {frame.meta.get('error', 'peer failure')}"
+                    )
+                    if "iteration" in frame.meta:
+                        self.park_iters[rank] = int(frame.meta["iteration"])
+                elif frame.tag == "error":
+                    self.diags[rank] = frame.meta.get("error", "unknown error")
+        except TransportError:
+            return False
+        return True
 
-    def _gen_comms(self, gen: int) -> List:
-        extra = self.reduce_gens[gen] if gen < len(self.reduce_gens) else []
-        return self.world_gens[gen] + self.group_gens[gen] + list(extra)
+    def mark_dead(self, rank: int, why: str) -> None:
+        if self.status[rank] != "done":
+            self.status[rank] = "dead"
+            self.diags.setdefault(rank, why)
 
-    def _fail(self, default: str) -> None:
+    def fail(self, default: str) -> None:
         failures = dict(self.diags)
-        for rank in range(self.world):
-            if self.status.get(rank) != "done":
+        for rank, st in self.status.items():
+            if st != "done":
                 failures.setdefault(rank, default)
-        self._cleanup()
         raise WorkerFailure(failures or {0: default})
 
     # -------------------------------------------------------------- running
     def run(self) -> List[Frame]:
         """Supervise until every rank reports a result; recover (within the
-        restart budget) from crashes, wedges and dropped pipes."""
-        for rank in range(self.world):
-            self._spawn(rank, respawn=False)
+        restart budget) from crashes, wedges, dropped links and lost
+        machines.  The fleet is torn down on every way out."""
         deadline = time.monotonic() + self.timeout
-        park_deadline: Optional[float] = None
-        reaped: set = set()
-
-        while any(st != "done" for st in self.status.values()):
-            if time.monotonic() > deadline:
-                self._fail(f"no result within {self.timeout:.0f}s")
-            waitables = {}
-            for rank in range(self.world):
-                st = self.status[rank]
-                if st in ("running", "parked"):
-                    waitables[self.chans[rank].endpoint.conn] = ("chan", rank)
-                # a dead process's sentinel stays readable until reaped —
-                # that readiness IS the death notification, so keep
-                # watching it even when is_alive() already returns False
-                if st != "done" and rank not in reaped:
-                    waitables[self.procs[rank].sentinel] = ("proc", rank)
-            ready = mp.connection.wait(list(waitables), timeout=0.5)
-            for obj in ready:
-                kind, rank = waitables[obj]
-                if kind == "chan":
-                    self._drain(rank)
-                else:
-                    self.procs[rank].join(timeout=0.1)
-                    reaped.add(rank)
-                    self._drain(rank)
-                    if self.status[rank] not in ("done",):
-                        code = self.procs[rank].exitcode
-                        self.status[rank] = "dead"
-                        self.diags.setdefault(rank, f"exited with code {code}")
-
-            if self.checkpointer is not None:
-                self.checkpointer.tick()
-
-            troubled = [
-                r for r, st in self.status.items() if st in ("parked", "dead")
-            ]
-            if troubled:
-                if park_deadline is None:
-                    park_deadline = time.monotonic() + self.policy.grace
-                undecided = [
-                    r for r, st in self.status.items() if st == "running"
-                ]
-                if not undecided:
-                    self._recover_guarded()
-                    park_deadline = None
-                    reaped.clear()  # respawned ranks have fresh processes
-                elif time.monotonic() > park_deadline:
-                    # stragglers are wedged (alive, not parked, not dead):
-                    # kill them so recovery can proceed
-                    for rank in undecided:
-                        self.diags.setdefault(
-                            rank,
-                            f"unresponsive for {self.policy.grace:.0f}s "
-                            f"(wedged); killed",
-                        )
-                        self._kill(rank)
-                        self.status[rank] = "dead"
-                    self._recover_guarded()
-                    park_deadline = None
-                    reaped.clear()
-
-        for p in self.procs.values():
-            p.join(timeout=5.0)
-        for ch in self.chans.values():
-            ch.close()
-        for gen in range(self.generation, len(self.world_gens)):
-            for comm in self._gen_comms(gen):
-                comm.close()
+        try:
+            self.spawner.start(self)
+            self.spawner.wire(deadline)
+            self._monitor(deadline)
+            self.spawner.close(kill=False)
+        except BaseException:
+            self.spawner.close(kill=True)
+            raise
         return [self.results[r] for r in range(self.world)]
 
-    def _drain(self, rank: int) -> None:
-        """Dispatch whatever frames ``rank`` has sent (non-blocking)."""
-        ch = self.chans[rank]
-        while ch.poll(0.0) and self.status[rank] != "done":
-            try:
-                frame = ch.recv(timeout=1.0)
-            except TransportError:
-                return  # EOF on a dead rank's pipe; the sentinel decides
-            if frame.tag == "result":
-                self.results[rank] = frame
-                self.status[rank] = "done"
-            elif frame.tag == "parked":
-                self.status[rank] = "parked"
+    def _monitor(self, deadline: float) -> None:
+        park_deadline: Optional[float] = None
+        while any(st != "done" for st in self.status.values()):
+            if time.monotonic() > deadline:
+                self.fail(f"no result within {self.timeout:.0f}s")
+            self.spawner.pump(0.5)
+            if self.checkpointer is not None:
+                self.checkpointer.tick()
+            if not any(st in ("parked", "dead") for st in self.status.values()):
+                continue
+            if park_deadline is None:
+                park_deadline = time.monotonic() + self.policy.grace
+            undecided = [r for r, st in self.status.items() if st == "running"]
+            if undecided and time.monotonic() <= park_deadline:
+                continue
+            for rank in undecided:
+                # stragglers are wedged (alive, not parked, not dead): kill
+                # them so recovery can proceed
                 self.diags.setdefault(
-                    rank, f"parked: {frame.meta.get('error', 'peer failure')}"
+                    rank,
+                    f"unresponsive for {self.policy.grace:.0f}s (wedged); killed",
                 )
-                if "iteration" in frame.meta:
-                    self.park_iters[rank] = int(frame.meta["iteration"])
-            elif frame.tag == "error":
-                self.diags[rank] = frame.meta.get("error", "unknown error")
+                self.spawner.kill(rank)
+                self.status[rank] = "dead"
+            self._recover_guarded()
+            park_deadline = None
 
     def _recover_guarded(self) -> None:
         """Run one recovery attempt, folding *its own* failures back into
-        the supervise loop instead of hanging or double-restoring.
+        the monitor loop instead of hanging or double-restoring.
 
         ``_recover`` is re-entrant: every mutation it performs (restoring
         live segments from the sealed slot, resuming parked ranks,
@@ -824,197 +587,396 @@ class _ElasticSupervisor:
         sealed commit, and the episode accounting makes the retry free.  So
         a fault *inside* recovery — the ``supervisor.recover`` failpoint, a
         rank dying mid-rollback, an I/O error wiring a generation — leaves
-        a state the next loop pass recognizes as still-troubled and folds
-        into the same recovery episode.
+        a state the next loop pass recognizes as still-troubled: ranks the
+        aborted attempt already resumed or respawned park again on their
+        collective timeout, the ones it never reached are still parked or
+        dead, and either way the loop re-enters the same episode.
         """
         try:
             self._recover()
         except WorkerFailure:
             raise
-        except BaseException as exc:  # noqa: BLE001 - fold into the episode
+        except Exception as exc:  # noqa: BLE001 - fold into the episode
+            self.instant(
+                "recover-fault", generation=self.generation, error=repr(exc)
+            )
             if self.tracer is not None:
-                self.tracer.instant(
-                    "recover-fault", generation=self.generation, error=repr(exc)
-                )
                 self.tracer.flush()
             get_registry().counter("recovery/recover_faults").add()
-            # ranks the aborted attempt already resumed/respawned will park
-            # again on their collective timeout; the ones it never reached
-            # are still parked/dead — either way the loop re-enters recovery
 
     def _recover(self) -> None:
-        """Roll the fleet back to the last sealed commit and resume it.
+        """Roll the fleet back to the last sealed commit and resume it —
+        or, when that commit already covers the whole iteration plan,
+        replay finalization from it.
 
         The whole recovery is one ``rollback`` span on the supervisor lane
         (with per-rank ``respawn`` sub-spans) and a set of ``recovery/*``
         registry metrics, so a chaos run's recovery is auditable from the
         trace/metrics alone.
-
-        If the sealed commit already covers the whole iteration plan the
-        fleet was in its *finalization window* (trailing eval / result
-        report after the end barrier).  That window holds no collectives a
-        finished rank would be missed from, so "done" ranks stay done and
-        everyone else replays finalization from the sealed final commit —
-        a fault after the end barrier recovers bitwise instead of failing.
         """
         # the supervisor is not exempt from chaos: this site lets tests
         # land a fault inside recovery itself (the re-entrancy drill)
         failpoints.fire("supervisor.recover")
-        slot, sealed_iteration = self.slab.header
-        seal = (int(slot), int(sealed_iteration))
-        if seal == self._episode_seal:
+        registry = get_registry()
+        slot, sealed = (int(x) for x in self.slab.header)
+        if (slot, sealed) == self._episode_seal:
             # same rollback target as the previous recovery: a concurrent
-            # fault within one episode (rollback re-execution died, or the
-            # recovery itself faulted) — no fresh progress was lost, so it
+            # fault within one episode — no fresh progress was lost, so it
             # consumes a bounded retry, not a restart
             self._episode_retries += 1
             if self._episode_retries > 8:
-                self._fail("repeated faults within one recovery episode")
+                self.fail("repeated faults within one recovery episode")
         else:
-            self._episode_seal = seal
+            self._episode_seal = (slot, sealed)
             self._episode_retries = 0
             self.restarts += 1
+            registry.counter("recovery/restarts").add()
         if self.restarts > self.policy.max_restarts:
-            self._fail("failed and restart budget exhausted")
-        finalized = (
-            self.target_iteration is not None
-            and sealed_iteration >= self.target_iteration
-        )
-        if finalized:
-            self._recover_finalize(slot, sealed_iteration)
-            return
-        if any(st == "done" for st in self.status.values()):
-            # a rank can only finish after the final commit sealed, which
-            # the branch above handles; reaching here means the slab went
-            # backwards — give up loudly rather than diverge
-            self._fail("fleet failed after some ranks completed")
-        if self.generation + 1 >= len(self.world_gens):
-            self._fail("failed and communicator generations exhausted")
-        prev = self.generation
-        self.generation += 1
-        # rollback depth: iterations of re-execution the fleet pays — how
-        # far past the sealed commit the furthest surviving rank had run
-        depth = max(
-            (it - sealed_iteration for it in self.park_iters.values()),
-            default=0,
-        )
-        depth = max(depth, 0)
-        dead = [r for r, st in self.status.items() if st == "dead"]
-        registry = get_registry()
-        registry.counter("recovery/restarts").add()
-        registry.gauge("recovery/rollback_depth").set(float(depth))
-        registry.gauge("recovery/generation").set(float(self.generation))
-        rollback_span = (
-            self.tracer.span(
-                "rollback",
-                generation=self.generation,
-                restart=self.restarts,
-                slot=int(slot),
-                sealed_iteration=int(sealed_iteration),
-                depth=int(depth),
-                dead_ranks=dead,
-            )
-            if self.tracer is not None
-            else None
-        )
-        if rollback_span is not None:
-            rollback_span.__enter__()
-        try:
-            for live, pair in zip(self.live_states, self.shadow_pairs):
-                live.memory.copy_from(pair[slot].memory)
-                live.mailbox.copy_from(pair[slot].mailbox)
-            for comm in self._gen_comms(prev):
-                comm.close()
-            for rank in range(self.world):
-                st = self.status[rank]
-                if st == "dead":
-                    self._respawn_traced(rank)
-                elif st == "parked":
-                    try:
-                        self.chans[rank].send(
-                            "resume", meta={"generation": self.generation}
-                        )
-                        self.status[rank] = "running"
-                    except TransportError:
-                        # parked worker died in the meantime: respawn it too
-                        self.diags.setdefault(rank, "died while parked")
-                        self._respawn_traced(rank)
-        finally:
-            if rollback_span is not None:
-                rollback_span.__exit__(None, None, None)
-            if self.tracer is not None:
-                self.tracer.flush()
-        self.park_iters.clear()
-
-    def _recover_finalize(self, slot: int, sealed_iteration: int) -> None:
-        """Recover a fault that landed in the finalization window.
-
-        The final commit (sealed just before the end barrier) holds the
-        complete end-of-run state, so nothing needs re-execution: restore
-        the live segments, and have every non-done rank replay finalization
-        straight from the sealed commit — no collectives, no generation
-        bump.  Ranks that already reported stay "done"; a dead rank 0 is
-        respawned in finalize-only mode and reproduces its result bitwise
-        (minus the bench gather, which needs the whole fleet alive).
-        """
-        registry = get_registry()
-        registry.counter("recovery/restarts").add()
-        registry.counter("recovery/finalize_recoveries").add()
-        registry.gauge("recovery/rollback_depth").set(0.0)
-        span_ctx = (
-            self.tracer.span(
-                "rollback",
-                generation=self.generation,
-                restart=self.restarts,
-                slot=int(slot),
-                sealed_iteration=int(sealed_iteration),
-                finalize=True,
-                dead_ranks=[r for r, st in self.status.items() if st == "dead"],
-            )
-            if self.tracer is not None
-            else None
-        )
-        if span_ctx is not None:
-            span_ctx.__enter__()
-        try:
-            for live, pair in zip(self.live_states, self.shadow_pairs):
-                live.memory.copy_from(pair[slot].memory)
-                live.mailbox.copy_from(pair[slot].mailbox)
-            for rank in range(self.world):
-                st = self.status[rank]
-                if st == "dead":
-                    self._respawn_traced(rank, finalize=True)
-                elif st == "parked":
-                    try:
-                        self.chans[rank].send(
-                            "resume",
-                            meta={"generation": self.generation, "finalize": True},
-                        )
-                        self.status[rank] = "running"
-                    except TransportError:
-                        self.diags.setdefault(rank, "died while parked")
-                        self._respawn_traced(rank, finalize=True)
-        finally:
-            if span_ctx is not None:
-                span_ctx.__exit__(None, None, None)
-            if self.tracer is not None:
-                self.tracer.flush()
-        self.park_iters.clear()
-
-    def _respawn_traced(self, rank: int, finalize: bool = False) -> None:
-        """Respawn one dead rank, recording its spawn latency as a span and
-        a ``recovery/respawn_latency_s`` histogram sample."""
-        registry = get_registry()
-        t0 = time.perf_counter()
-        if self.tracer is not None:
-            with self.tracer.span("respawn", rank=rank, generation=self.generation):
-                self._spawn(rank, respawn=True, finalize=finalize)
+            self.fail("failed and restart budget exhausted")
+        finalize = sealed >= self.target_iteration
+        depth = 0
+        if finalize:
+            # the final commit (sealed just before the end barrier) holds
+            # the complete end-of-run state and the window holds no
+            # collectives a finished rank would be missed from: done ranks
+            # stay done, nothing re-executes, no generation bump
+            self._finalizing = True
+            registry.counter("recovery/finalize_recoveries").add()
         else:
-            self._spawn(rank, respawn=True, finalize=finalize)
-        registry.counter("recovery/respawns").add()
-        registry.histogram("recovery/respawn_latency_s").record(
-            time.perf_counter() - t0
+            if any(st == "done" for st in self.status.values()):
+                # a rank only finishes past the end barrier, after the final
+                # seal; reaching here means the slab went backwards — give
+                # up loudly rather than diverge
+                self.fail("fleet failed after some ranks completed")
+            generations = self.spawner.generations
+            if generations is not None and self.generation + 1 >= generations:
+                self.fail("failed and communicator generations exhausted")
+            self.generation += 1
+            registry.gauge("recovery/generation").set(float(self.generation))
+            # rollback depth: iterations of re-execution the fleet pays —
+            # how far past the seal the furthest surviving rank had run
+            depth = max(
+                [it - sealed for it in self.park_iters.values()] + [0]
+            )
+        registry.gauge("recovery/rollback_depth").set(float(depth))
+        dead = [r for r, st in self.status.items() if st == "dead"]
+        try:
+            with self.span(
+                "rollback",
+                generation=self.generation,
+                restart=self.restarts,
+                slot=slot,
+                sealed_iteration=sealed,
+                depth=depth,
+                dead_ranks=dead,
+                finalize=finalize,
+            ):
+                for live, pair in zip(self.live_states, self.shadow_pairs):
+                    live.memory.copy_from(pair[slot].memory)
+                    live.mailbox.copy_from(pair[slot].mailbox)
+                for rank, st in self.status.items():
+                    if st != "parked":
+                        continue
+                    try:
+                        self.spawner.chans[rank].send(
+                            "resume",
+                            meta={"generation": self.generation, "finalize": finalize},
+                        )
+                        self.status[rank] = "running"
+                    except TransportError:
+                        # parked rank died in the meantime: respawn it too
+                        self.mark_dead(rank, "died while parked")
+                        dead.append(rank)
+                t0 = time.perf_counter()
+                for rank in dead:
+                    with self.span("respawn", rank=rank, generation=self.generation):
+                        self.spawner.spawn(rank)
+                self.spawner.wire(
+                    time.monotonic() + self.policy.grace + 60.0, finalize
+                )
+                if dead:
+                    registry.counter("recovery/respawns").add(len(dead))
+                    registry.histogram("recovery/respawn_latency_s").record(
+                        time.perf_counter() - t0
+                    )
+        finally:
+            if self.tracer is not None:
+                self.tracer.flush()
+        self.park_iters.clear()
+
+
+def _wire_local(plan, topology: str, timeout: float) -> list:
+    """One pipe-wired generation: a ``RankComms`` per ``i×k`` rank.  The
+    group's ``i`` shards form the row, the slot is the trivial world of
+    one (the rank owns all ``j`` rows), and the gradient allreduce rides
+    the world star itself or a dedicated ring/tree communicator — all
+    three reduce in rank order, so the topology only changes who moves
+    the bytes."""
+    from .fabric.wire import RankComms
+
+    world = make_local_communicators(plan.i * plan.k, default_timeout=timeout)
+    rows: List[Communicator] = []
+    for _ in range(plan.k):
+        rows.extend(make_local_communicators(plan.i, default_timeout=timeout))
+    leaders = (
+        world
+        if topology == "star"
+        else make_topology_communicators(topology, plan.i * plan.k, timeout)
+    )
+    return [
+        RankComms(world=w, row=r, slot=Communicator(0, 1), leader=lead)
+        for w, r, lead in zip(world, rows, leaders)
+    ]
+
+
+def _local_rank(rank: int, channel: Channel, *, bundle: dict, comms: dict):
+    """A local rank's seat: all ``j`` rows in-rank, generations pre-wired."""
+    from .worker import run_rank
+
+    return run_rank(rank, channel, bundle, fanout=False, connect=comms.__getitem__)
+
+
+class LocalSpawner:
+    """``spawn``-method children of this process, wired over pipes.
+
+    Children rebuild state from their arguments rather than inheriting an
+    address space, matching the runtime's "reconstruct from config"
+    contract.  Communicator generations cannot be created after the fact
+    (a running rank cannot be handed new pipe ends), so ``max_restarts + 3``
+    of them — one per counted restart plus headroom for the same-episode
+    retries that do not consume the budget — are wired up front and every
+    rank receives its ends of all generations still ahead.
+    """
+
+    def __init__(self, plan, topology: str) -> None:
+        self.plan = plan
+        self.topology = topology
+        self.world = plan.i * plan.k
+        self.generations = 0              # set from the policy at start
+        self.ctx = mp.get_context("spawn")
+        self.gens: Dict[int, list] = {}   # generation → parent-side pipe ends
+        self.procs: Dict[int, mp.Process] = {}
+        self.chans: Dict[int, Channel] = {}
+        self.reaped: set = set()
+
+    def start(self, sup: Supervisor) -> None:
+        self.sup = sup
+        self.generations = sup.policy.max_restarts + 3
+        for generation in range(self.generations):
+            self.gens[generation] = _wire_local(
+                self.plan, self.topology, sup.policy.collective_timeout
+            )
+        for rank in range(self.world):
+            self.spawn(rank)
+
+    def spawn(self, rank: int) -> None:
+        old = self.chans.pop(rank, None)
+        if old is not None:
+            old.close()
+        parent_ch, child_ch = pipe_channel_pair(self.sup.timeout)
+        kwargs = {
+            "bundle": self.sup.spawn_bundle(),
+            "comms": {g: comms[rank] for g, comms in self.gens.items()},
+        }
+        proc = self.ctx.Process(
+            target=_worker_shell,
+            args=(_local_rank, rank, child_ch, kwargs),
+            name=f"repro-rt-{rank}g{self.sup.generation}",
+            daemon=True,
         )
+        proc.start()
+        child_ch.close()
+        self.procs[rank] = proc
+        self.chans[rank] = parent_ch
+        self.reaped.discard(rank)
+        self.sup.status[rank] = "running"
+
+    def wire(self, deadline: float, finalize: bool = False) -> None:
+        """The current generation's ranks all hold their pipe ends now, so
+        drop the parent's duplicates: while they stay open a SIGKILLed
+        rank's pipes never EOF and its peers park by timeout, not at once."""
+        if not finalize:
+            for comms in self.gens.pop(self.sup.generation):
+                comms.close()
+
+    def kill(self, rank: int) -> None:
+        proc = self.procs.get(rank)
+        if proc is not None and proc.is_alive():
+            proc.kill()
+            proc.join(timeout=5.0)
+
+    def pump(self, timeout: float) -> None:
+        sup = self.sup
+        waitables = {}
+        for rank, st in sup.status.items():
+            if st in ("running", "parked"):
+                waitables[self.chans[rank].endpoint.conn] = ("chan", rank)
+            # a dead process's sentinel stays readable until reaped — that
+            # readiness IS the death notification, so keep watching it even
+            # when is_alive() already returns False
+            if st != "done" and rank not in self.reaped:
+                waitables[self.procs[rank].sentinel] = ("proc", rank)
+        for obj in mp.connection.wait(list(waitables), timeout=timeout):
+            kind, rank = waitables[obj]
+            # EOF on a dead rank's pipe is not a verdict; the sentinel decides
+            sup.drain(rank, self.chans[rank])
+            if kind == "proc":
+                self.procs[rank].join(timeout=0.1)
+                self.reaped.add(rank)
+                sup.mark_dead(rank, f"exited with code {self.procs[rank].exitcode}")
+
+    def close(self, kill: bool) -> None:
+        if kill:
+            for rank in self.procs:
+                self.kill(rank)
+        for proc in self.procs.values():
+            proc.join(timeout=5.0)
+        for ch in self.chans.values():
+            ch.close()
+        while self.gens:
+            for comms in self.gens.popitem()[1]:
+                comms.close()
+
+
+def _run_fit(
+    config,
+    trainer,
+    spawner,
+    *,
+    epochs: Optional[int] = None,
+    max_iterations: Optional[int] = None,
+    eval_every_sweeps: int = 1,
+    verbose: bool = False,
+    timeout: float = DEFAULT_TIMEOUT,
+    recovery: Optional[RecoveryPolicy] = None,
+    run_state: Optional[dict] = None,
+    checkpoint_dir: Optional[str] = None,
+    checkpoint_every: int = 1,
+) -> Tuple[dict, Dict[str, np.ndarray], List[SharedGroupState]]:
+    """The fit every multi-process backend runs: iteration plan, tracer,
+    shared segments + commit slab, supervised fleet, teardown.  The
+    backend contributes its ``spawner``."""
+    from .worker import initial_book
+
+    policy = recovery if recovery is not None else RecoveryPolicy()
+    plan = config.parallel
+    graph = trainer.graph
+    world = spawner.world
+
+    # ---- iteration plan (the logical trainer's fairness arithmetic): one
+    # absolute target, identical for fresh runs, continues and rollbacks
+    if run_state is not None:
+        target_iteration = int(run_state["target_iteration"])
+        book = {
+            "history": list(run_state["history"]),
+            "recent": list(run_state["recent"]),
+            "last_eval_sweeps": int(run_state["last_eval_sweeps"]),
+        }
+    else:
+        epochs_eq = epochs if epochs is not None else config.train.epochs
+        total_batch_visits = epochs_eq * trainer.num_batches
+        iterations = max(1, total_batch_visits // (plan.j * plan.k))
+        if max_iterations is not None:
+            iterations = min(iterations, int(max_iterations))
+        target_iteration = trainer._iteration + iterations
+        book = initial_book()
+
+    # telemetry: resolve the trace directory once (env beats config) and
+    # ship it to every rank; the supervisor gets its own lane so recovery
+    # spans interleave with rank spans on the merged timeline
+    trace_dir = resolve_trace_dir(config)
+    tracer: Optional[Tracer] = None
+    if trace_dir is not None:
+        Path(trace_dir).mkdir(parents=True, exist_ok=True)
+        tracer = Tracer(
+            rank=world,
+            lane="supervisor",
+            path=Path(trace_dir) / "trace-supervisor.jsonl",
+        )
+        # a lifecycle mark so the supervisor lane exists on the merged
+        # timeline even for runs that never needed a recovery
+        tracer.instant("launch", world=world, machines=plan.machines)
+
+    group_states = create_group_states(
+        plan.k,
+        num_nodes=graph.num_nodes,
+        memory_dim=config.model.memory_dim,
+        edge_dim=graph.edge_dim,
+        comb=config.train.comb,
+    )
+    slab: Optional[CommitSlab] = None
+    shadow_pairs: List[List[SharedGroupState]] = []
+    try:
+        # continue from the parent's node memory, not from zero state
+        for st, g in zip(group_states, trainer.groups):
+            st.memory.copy_from(g.memory)
+            st.mailbox.copy_from(g.mailbox)
+        slab, shadow_pairs, shadow_specs = prepare_recovery_state(
+            config, trainer, book=book
+        )
+        train_meta = {
+            "target_iteration": target_iteration,
+            "eval_every_sweeps": eval_every_sweeps,
+            "verbose": verbose,
+            "commit_every": policy.commit_every,
+        }
+        if trace_dir is not None:
+            train_meta["trace_dir"] = str(trace_dir)
+        # the spawn bundle: everything a rank needs to rebuild its slice —
+        # names and plain data only, so it travels as JSON to a host agent
+        bundle = {
+            "config_dict": config.to_dict(),
+            "shared_specs": [st.spec.to_dict() for st in group_states],
+            "commit_spec": slab.to_dict(),
+            "shadow_specs": shadow_specs,
+            "train_meta": train_meta,
+            "collective_timeout": policy.collective_timeout,
+            "timeout": timeout,
+        }
+        checkpointer: Optional[SlabCheckpointer] = None
+        if checkpoint_dir is not None:
+            checkpointer = SlabCheckpointer(
+                directory=checkpoint_dir,
+                config=config,
+                trainer=trainer,
+                slab=slab,
+                shadow_pairs=shadow_pairs,
+                target_iteration=target_iteration,
+                start_iteration=trainer._iteration,
+                every=checkpoint_every,
+            )
+        results = Supervisor(
+            spawner=spawner,
+            bundle=bundle,
+            slab=slab,
+            shadow_pairs=shadow_pairs,
+            live_states=group_states,
+            policy=policy,
+            timeout=timeout,
+            tracer=tracer,
+            checkpointer=checkpointer,
+        ).run()
+    except BaseException:
+        destroy_states(group_states)
+        raise
+    finally:
+        for pair in shadow_pairs:
+            destroy_states(pair)
+        if slab is not None:
+            slab.close()
+            slab.unlink()
+        if tracer is not None:
+            # always leave a merged timeline — a failed chaos run's partial
+            # traces are exactly when you want one.  Best effort: telemetry
+            # must never turn a completed fit into a failure.
+            try:
+                tracer.instant("join")
+                tracer.flush()
+                merge_trace_dir(trace_dir)
+            except Exception:  # pragma: no cover - defensive
+                pass
+    root = results[0]
+    return root.meta, root.arrays, group_states
 
 
 def run_process_fit(
@@ -1053,194 +1015,20 @@ def run_process_fit(
     ``close()``/``unlink()`` on each group state (``apply_process_result``
     does all of this for a Session trainer).
     """
-    from .worker import initial_book
-
-    policy = recovery if recovery is not None else RecoveryPolicy()
-    plan = config.parallel
-    world = plan.i * plan.k
-    graph = trainer.graph
-    comb = config.train.comb
-
-    # ---- iteration plan (the logical trainer's fairness arithmetic): one
-    # absolute target, identical for fresh runs, continues and rollbacks
-    if run_state is not None:
-        target_iteration = int(run_state["target_iteration"])
-        book = {
-            "history": list(run_state["history"]),
-            "recent": list(run_state["recent"]),
-            "last_eval_sweeps": int(run_state["last_eval_sweeps"]),
-        }
-    else:
-        epochs_eq = epochs if epochs is not None else config.train.epochs
-        total_batch_visits = epochs_eq * trainer.num_batches
-        visits_per_iteration = plan.j * plan.k
-        iterations = max(1, total_batch_visits // visits_per_iteration)
-        if max_iterations is not None:
-            iterations = min(iterations, int(max_iterations))
-        target_iteration = trainer._iteration + iterations
-        book = initial_book()
-
-    # telemetry: resolve the trace directory once (env beats config) and
-    # ship it to every rank; the supervisor gets its own lane so recovery
-    # spans interleave with worker spans on the merged timeline
-    trace_dir = resolve_trace_dir(config)
-    supervisor_tracer: Optional[Tracer] = None
-    if trace_dir is not None:
-        Path(trace_dir).mkdir(parents=True, exist_ok=True)
-        supervisor_tracer = Tracer(
-            rank=world,
-            lane="supervisor",
-            path=Path(trace_dir) / "trace-supervisor.jsonl",
-        )
-        # a lifecycle mark so the supervisor lane exists on the merged
-        # timeline even for runs that never needed a recovery
-        supervisor_tracer.instant("launch", world=world)
-
-    group_states = create_group_states(
-        plan.k,
-        num_nodes=graph.num_nodes,
-        memory_dim=config.model.memory_dim,
-        edge_dim=graph.edge_dim,
-        comb=comb,
+    return _run_fit(
+        config,
+        trainer,
+        LocalSpawner(config.parallel, config.train.topology),
+        epochs=epochs,
+        max_iterations=max_iterations,
+        eval_every_sweeps=eval_every_sweeps,
+        verbose=verbose,
+        timeout=timeout,
+        recovery=recovery,
+        run_state=run_state,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every=checkpoint_every,
     )
-    slab: Optional[CommitSlab] = None
-    shadow_pairs: List[List[SharedGroupState]] = []
-    world_gens: List[List[Communicator]] = []
-    group_gens: List[List[Communicator]] = []
-    reduce_gens: List[List] = []
-    supervisor: Optional[_ElasticSupervisor] = None
-    topology = getattr(config.train, "topology", "star")
-    try:
-        # continue from the parent's node memory, not from zero state
-        for st, g in zip(group_states, trainer.groups):
-            st.memory.copy_from(g.memory)
-            st.mailbox.copy_from(g.mailbox)
-        slab, shadow_pairs, shadow_specs = prepare_recovery_state(
-            config, trainer, book=book
-        )
-        shared_specs = [st.spec.to_dict() for st in group_states]
-
-        # one generation per counted restart, plus headroom for the same-
-        # episode retries that do not consume the budget (a fault during
-        # rollback re-execution still needs a fresh communicator wiring);
-        # the supervisor fails cleanly if even the headroom runs out
-        generations = policy.max_restarts + 3
-        for _ in range(generations):
-            world_gens.append(
-                make_local_communicators(
-                    world, default_timeout=policy.collective_timeout
-                )
-            )
-            group_gens.append(_make_group_comms(plan, policy.collective_timeout))
-            if topology != "star":
-                # a dedicated ring/tree communicator generation carries the
-                # gradient allreduce; barriers and control stay on the star
-                # (all three reduce in rank order, so results are bitwise
-                # identical — the topology only changes who moves the bytes)
-                reduce_gens.append(
-                    make_topology_communicators(
-                        topology, world, policy.collective_timeout
-                    )
-                )
-
-        train_meta = {
-            "target_iteration": target_iteration,
-            "eval_every_sweeps": eval_every_sweeps,
-            "verbose": verbose,
-            "commit_every": policy.commit_every,
-        }
-        if trace_dir is not None:
-            train_meta["trace_dir"] = str(trace_dir)
-        config_dict = config.to_dict()
-        commit_spec = slab.to_dict()
-
-        def make_kwargs(rank: int, generation: int) -> dict:
-            return {
-                "config_dict": config_dict,
-                "shared_specs": shared_specs,
-                "commit_spec": commit_spec,
-                "shadow_specs": shadow_specs,
-                # only the generations still ahead: the parent closed its
-                # duplicates of spent generations at each recovery
-                "world_comms": {
-                    g: world_gens[g][rank] for g in range(generation, generations)
-                },
-                "group_comms": {
-                    g: group_gens[g][rank] for g in range(generation, generations)
-                },
-                "reduce_comms": (
-                    {
-                        g: reduce_gens[g][rank]
-                        for g in range(generation, generations)
-                    }
-                    if reduce_gens
-                    else None
-                ),
-                "generation": generation,
-                "train_meta": train_meta,
-            }
-
-        checkpointer: Optional[SlabCheckpointer] = None
-        if checkpoint_dir is not None:
-            checkpointer = SlabCheckpointer(
-                directory=checkpoint_dir,
-                config=config,
-                trainer=trainer,
-                slab=slab,
-                shadow_pairs=shadow_pairs,
-                target_iteration=target_iteration,
-                start_iteration=trainer._iteration,
-                every=checkpoint_every,
-            )
-
-        supervisor = _ElasticSupervisor(
-            world=world,
-            make_kwargs=make_kwargs,
-            slab=slab,
-            shadow_pairs=shadow_pairs,
-            live_states=group_states,
-            world_gens=world_gens,
-            group_gens=group_gens,
-            policy=policy,
-            timeout=timeout,
-            tracer=supervisor_tracer,
-            reduce_gens=reduce_gens,
-            target_iteration=target_iteration,
-            checkpointer=checkpointer,
-        )
-        results = supervisor.run()
-    except BaseException:
-        # _fail() already cleaned up before raising WorkerFailure; for any
-        # other escape (KeyboardInterrupt mid-loop, an OSError, a failure
-        # while wiring the generations) the fleet must still be terminated
-        # and every pre-wired pipe closed — _cleanup is idempotent
-        if supervisor is not None:
-            supervisor._cleanup()
-        else:
-            for gen_comms in world_gens + group_gens + reduce_gens:
-                for comm in gen_comms:
-                    comm.close()
-        destroy_states(group_states)
-        raise
-    finally:
-        for pair in shadow_pairs:
-            destroy_states(pair)
-        if slab is not None:
-            slab.close()
-            slab.unlink()
-        if trace_dir is not None:
-            # always leave a merged timeline — a failed chaos run's partial
-            # traces are exactly when you want one.  Best effort: telemetry
-            # must never turn a completed fit into a failure.
-            try:
-                if supervisor_tracer is not None:
-                    supervisor_tracer.instant("join")
-                    supervisor_tracer.flush()
-                merge_trace_dir(trace_dir)
-            except Exception:  # pragma: no cover - defensive
-                pass
-    root = results[0]
-    return root.meta, root.arrays, group_states
 
 
 def apply_process_result(

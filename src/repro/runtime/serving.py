@@ -35,8 +35,7 @@ Protocol (all frames over the worker's control channel):
   parameter arrays in place and refreshes the precomputed static
   projection); ``stop`` retires the worker.
 
-Elasticity & recovery: the parent owns every worker *individually* (no
-fixed-size :class:`~repro.runtime.launcher.ProcessGroup`), so
+Elasticity & recovery: the parent owns every worker *individually*, so
 :meth:`~ProcessServingCluster.add_replica` spawns one more process into
 the fleet, :meth:`~ProcessServingCluster.remove_replica` drains and
 retires the newest, and a replica that dies mid-stream (``SIGKILL``, a

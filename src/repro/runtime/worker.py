@@ -1,78 +1,94 @@
-"""Rank entrypoint for the process runtime's training workers.
+"""The rank loop: one implementation for every multi-process backend.
 
-Each worker **rebuilds** its slice of the experiment from the declarative
+A rank **rebuilds** its slice of the experiment from the declarative
 :class:`~repro.api.config.ExperimentConfig` — dataset, sampler, model,
 decoder, negative stores all resolve through the ``repro.api`` registries,
 exactly as in the parent — so nothing crosses the process boundary except
-the config dict, the shared-memory segment names and the commit slab that
-carries the resumable run state.  That is the real system's contract: a
-rank can live on another host and still reconstruct identical state from
-the same description.
+the spawn bundle: the config dict, the shared-memory segment names and the
+commit slab that carries the resumable run state.  A rank can live on
+another host and still reconstruct identical state from that description.
 
-Rank layout: ``world = i × k``; rank ``r`` is shard ``s = r % i`` of memory
-group ``m = r // i``.  The group's ``i`` shards map one shared node-memory /
-mailbox segment (§3.2.3's memory-parallel reads made real); epoch
-parallelism ``j`` stays inside the rank, because the ``j`` sub-steps of a
-block share the rank's cached preparations by construction.
-
-The execution loop is the logical trainer's loop
+:func:`run_rank` is the logical trainer's loop
 (:meth:`repro.train.distributed.DistTGLTrainer.train`) re-derived for real
-parallelism, preserving its semantics:
+parallelism.  The arithmetic stays in the trainer (``_read_shard`` /
+``_forward_shard`` / ``_accumulate_term``: one implementation, so backends
+cannot drift); the loop only *orders* it over a
+:class:`~repro.runtime.fabric.wire.RankComms` and the list of epoch rows
+the rank owns.  The two backends differ in exactly that:
 
-* **canonical pass** — per block batch: a group barrier (whose root section
-  applies the wrap-around memory reset), shard-local BatchPrep reads of the
-  shared state, a second barrier (readers before writers), the shard
-  forward, then the write-back committed through a rank-ordered serial
-  section.  Shards are chronological slices, so ordered commits reproduce
-  the logical trainer's single fancy-assignment write-back.
-* **gradient step** — the rank's block of ``j`` loss terms, each weighted
-  ``(shard/global batch size) / (j·k)`` and backpropagated alone into a
-  float64 :class:`~repro.parallel.allreduce.TermGradAccumulator` partial;
-  the all-reduce **sums** the rank partials in rank order — the very loop
-  the logical trainer runs over its blocks — and every rank applies the
-  identical reduced gradient to its own Adam replica, so replicas stay
-  bitwise in sync without per-step weight broadcast.
+* ``backend="process"`` — ``world = i × k``; rank ``m·i + s`` owns **all**
+  ``j`` rows of its block (they share the rank's cached preparations), its
+  ``slot`` communicator is the trivial world of one, and its generations of
+  communicators arrive pre-wired over pipes with the spawn arguments.
+* ``backend="fabric"`` — ``world = i × j × k``; rank ``m·(i·j) + r·i + s``
+  owns row ``r`` only, and each generation is wired peer-to-peer over
+  sockets from the controller's ``wire`` frame
+  (:mod:`repro.runtime.fabric.worker`).
+
+The protocol, per block of ``j`` iterations:
+
+* **canonical pass** (sub-step 0) — every rank advances every group's
+  cursor (integers only, so wrap flags and commit metadata need no
+  messages).  A group's rows run in order: a rank walks the rows it owns,
+  and between ranks a token chain hands row ``r`` over as soon as row
+  ``r-1``'s write-back committed (pipelined against the later rows still
+  working).  Within a row the ``i`` shards hold a barrier whose root
+  section applies the wrap-around memory reset, read the shared state,
+  hold a second barrier (**readers before writers**), run the forward, and
+  commit the write-back through a rank-ordered serial section — shards are
+  chronological slices, so ordered commits reproduce the logical trainer's
+  single fancy-assignment write-back.
+* **gradient step** — each owned row's loss term, weighted
+  ``(shard/global batch size) / (j·k)``, is backpropagated alone into a
+  float64 :class:`~repro.parallel.allreduce.TermGradAccumulator` partial.
+  The reduction is two hops that both fold in a fixed order: the rows of a
+  gradient slot fold at the slot leader **in row order** (the ``+=`` loop
+  a rank owning all rows runs privately), the slot leaders allreduce **in
+  block order** on the configured star/ring/tree overlay (the loop
+  ``reduce_partials`` runs), and the total fans back out through the slot.
+  Every rank applies the identical reduced gradient to its own Adam
+  replica, so replicas stay bitwise in lockstep without weight broadcasts.
 * **evaluation** — rank 0 evaluates at the logical cadence (group 0 sweep
   boundaries) from the shared group-0 state while the fleet waits at a
   barrier; the negative-group sweep offset advances on every rank.
-
-Fault tolerance (the elastic-restart protocol, parent side in
-:mod:`repro.runtime.launcher`):
-
 * **commit** — at every ``commit_every``-th block boundary the fleet holds
   a two-barrier window: between the barriers each group leader copies its
   live segment into the inactive shadow slot and rank 0 serializes the
   resumable run (trainer snapshot + history/recent/eval bookkeeping) into
   the inactive :class:`~repro.runtime.sharedmem.CommitSlab` slot; the
-  second barrier's root section seals the slab — the atomic flip that
-  makes the new commit current only after every byte of it is durable.
+  second barrier's root section seals the slab — **seal-last**, the atomic
+  flip that makes the new commit current only after every byte of it is
+  durable, so a crash at any instant leaves a consistent anchor.
 * **park** — any :class:`~repro.runtime.transport.TransportError` inside
-  the loop (a peer crashed, wedged, or dropped its pipes) makes the rank
-  close its collectives, report ``parked`` on its control channel, and
-  wait.  The launcher restores the live segments from the sealed shadows,
-  respawns dead ranks, and answers ``resume`` with the next communicator
-  generation; the rank reloads the sealed commit and re-enters the loop.
-  Because both the rollback target and the re-executed arithmetic are
-  bit-exact, a recovered run finishes **bitwise identical** to an
-  unfaulted one.
+  the loop (a peer crashed, wedged, or dropped its links) makes the rank
+  **close all its communicators first** — cascading EOF through the fleet
+  so every survivor parks within one collective op instead of one timeout
+  — then report ``parked`` on its control channel and wait.  The
+  supervisor (:mod:`repro.runtime.launcher`) restores the live segments
+  from the sealed shadows, respawns dead ranks, and answers ``resume``
+  with the next generation; the rank reloads the sealed commit and
+  re-enters the loop.  Both the rollback target and the re-executed
+  arithmetic are bit-exact, so a recovered run finishes **bitwise
+  identical** to an unfaulted one.
+* **finalization window** — the loop seals a *final* commit before the end
+  barrier, so a fault at any later instant (trailing eval, bench gather,
+  result report) recovers by replaying finalization from that commit: the
+  supervisor resumes parked ranks with ``finalize=True`` (or respawns dead
+  ones ``finalize_only``) and they finish without joining any collective,
+  still bitwise identical (only the bench gather is lost).
 
-Failpoints: the loop evaluates the ``worker.step`` failpoint (keyed on the
-global iteration) each iteration, and ``worker.finalize`` (hit-counter
-keyed) right after the end barrier — the finalization-window drill.
-Respawned ranks neutralize inherited failpoints so a crash schedule fires
-once, not once per restart.
-
-Finalization window: the loop seals a *final* commit before the end
-barrier, so a fault at any later instant (trailing eval, bench gather,
-result report) recovers by replaying finalization from that sealed commit
-— the launcher resumes parked ranks with ``finalize=True`` (or respawns
-dead ones with ``finalize_only=True``) and they finish without rejoining
-any collective, still bitwise identical (the bench gather alone is lost).
+Failpoints: ``worker.step`` and ``fabric.machine`` (keyed on the global
+iteration) each iteration — the latter's ``crash`` takes down the rank's
+whole machine, which for a fabric rank is its host agent and for a local
+rank is itself — and ``worker.finalize`` (hit-counter keyed) right after
+the end barrier.  Respawned ranks neutralize inherited failpoints so a
+crash schedule fires once, not once per restart.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import time
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,14 +97,14 @@ from ..models.tgn import TGN, DirectMemoryView
 from ..nn import clip_grad_norm, use_fused
 from ..obs import configure as obs_configure
 from ..obs import flush as obs_flush
+from ..obs import get_tracer
 from ..obs import instant as obs_instant
 from ..obs import span
 from ..obs.metrics import phase_totals
 from ..parallel.allreduce import TermGradAccumulator, load_reduced
 from ..testing import failpoints
-from .collectives import Communicator
 from .sharedmem import CommitSlab, SharedGroupState, SharedStateSpec
-from .transport import TransportError
+from .transport import Channel, TransportError
 
 
 def initial_book() -> dict:
@@ -102,57 +118,103 @@ def _attach_states(specs: List[dict]) -> List[SharedGroupState]:
     ]
 
 
-# ------------------------------------------------------------- entrypoint
-def train_worker(
-    rank: int,
-    channel,
-    *,
-    config_dict: dict,
-    shared_specs: List[dict],
-    commit_spec: Optional[dict] = None,
-    shadow_specs: Optional[List[List[dict]]] = None,
-    world_comms: Optional[Dict[int, Communicator]] = None,
-    group_comms: Optional[Dict[int, Communicator]] = None,
-    reduce_comms: Optional[Dict[int, object]] = None,
-    generation: int = 0,
-    train_meta: Optional[dict] = None,
-    clear_failpoints: bool = False,
-    finalize_only: bool = False,
-) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Execute one rank of a process-parallel ``fit``; returns the result
-    frame payload (rank 0 carries the trained state, peers ack)."""
-    from ..train.distributed import DistTGLTrainer
-    from .launcher import decode_commit, encode_commit
+def _park(
+    ctrl: Channel, rank: int, exc: BaseException, iteration: int
+) -> Tuple[int, bool]:
+    """Report a collective failure and wait for the supervisor's verdict.
 
-    if clear_failpoints:
+    Returns ``(generation, finalize)``: the communicator generation to
+    resume on, and whether the fault landed in the finalization window
+    (resume by replaying finalization from the sealed final commit instead
+    of rejoining collectives).  If the supervisor is gone (or answers
+    ``abort``) the rank exits instead of lingering.
+    """
+    # mark the park on the timeline and make the trace durable before
+    # blocking — if recovery never comes, the events are already on disk
+    obs_instant("park", iteration=int(iteration), error=repr(exc))
+    obs_flush()
+    try:
+        ctrl.send(
+            "parked",
+            meta={"rank": rank, "error": repr(exc), "iteration": int(iteration)},
+        )
+    except Exception:
+        raise SystemExit(1) from exc
+    while True:
+        frame = ctrl.recv()  # channel default timeout bounds the wait
+        if frame.tag == "resume":
+            return int(frame.meta["generation"]), bool(
+                frame.meta.get("finalize", False)
+            )
+        if frame.tag == "abort":
+            raise SystemExit(1)
+
+
+def run_rank(
+    rank: int,
+    ctrl: Channel,
+    bundle: dict,
+    *,
+    fanout: bool,
+    connect: Callable[[int], object],
+    kill_machine: Optional[Callable[[], None]] = None,
+) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """Execute one rank of a multi-process ``fit``; returns the result
+    frame payload (rank 0 carries the trained state, peers ack).
+
+    ``fanout`` is the backend's fixed layout choice — ``False``: the rank
+    owns all ``j`` rows of its block, ``True``: one row per rank.
+    ``connect(generation)`` delivers that generation's
+    :class:`~repro.runtime.fabric.wire.RankComms`.
+    """
+    from ..train.distributed import DistTGLTrainer
+    from .launcher import (
+        decode_commit,
+        encode_commit,
+        load_trainer_state,
+        snapshot_trainer_state,
+    )
+
+    if bundle.get("clear_failpoints"):
         # a respawned rank must not re-trip the failure that killed its
         # predecessor: the env var still carries the schedule, ignore it
         failpoints.neutralize()
 
-    train_meta = train_meta or {}
+    cfg = ExperimentConfig.from_dict(bundle["config_dict"])
+    plan = cfg.parallel
+    i, j, k = plan.i, plan.j, plan.k
+    fan = j if fanout else 1
+    world = i * fan * k
+    if not 0 <= rank < world:
+        raise ValueError(f"rank {rank} inconsistent with plan {plan.label()}")
+    m, rem = divmod(rank, i * fan)
+    row0, s = divmod(rem, i)
+    rows = [row0] if fanout else list(range(j))
+    machine = m // plan.copies_per_machine
+    train_meta = bundle["train_meta"]
+
     # span tracing: the launcher resolves the trace directory (env/config)
     # once and ships it in train_meta; each rank appends to its own file so
-    # a SIGKILLed peer cannot corrupt anyone else's trace
+    # a SIGKILLed peer cannot corrupt anyone else's trace.  A host agent's
+    # measured clock offset re-anchors wall-clock timestamps into the
+    # controller's timebase.
     if train_meta.get("trace_dir"):
-        obs_configure(train_meta["trace_dir"], rank=rank, lane=f"rank{rank}")
-    cfg = ExperimentConfig.from_dict(config_dict)
-    i, j, k = cfg.parallel.i, cfg.parallel.j, cfg.parallel.k
-    world = i * k
-    world_comm = world_comms[generation]
-    group_comm = group_comms[generation]
-    # the gradient allreduce optionally rides a ring/tree communicator
-    # (TrainConfig.topology); control traffic stays on the star
-    reduce_comm = reduce_comms[generation] if reduce_comms else world_comm
-    if world_comm.world != world or not 0 <= rank < world:
-        raise ValueError(f"rank {rank} inconsistent with plan {cfg.parallel.label()}")
-    m, s = rank // i, rank % i
+        obs_configure(
+            train_meta["trace_dir"], rank=rank, lane=bundle.get("lane", f"rank{rank}")
+        )
+        offset = float(bundle.get("clock_offset") or 0.0)
+        tracer = get_tracer()
+        if offset and tracer is not None:
+            tracer.epoch_anchor += offset
 
     dataset = cfg.build_dataset()
-    trainer = DistTGLTrainer(dataset, cfg.parallel, cfg.trainer_spec(), rank=rank)
+    trainer = DistTGLTrainer(dataset, plan, cfg.trainer_spec(), rank=rank)
     spec = trainer.spec
 
     # ---- shared state: this group's segment replaces the private arrays
-    shared = SharedGroupState(SharedStateSpec.from_dict(shared_specs[m]), create=False)
+    shared = SharedGroupState(
+        SharedStateSpec.from_dict(bundle["shared_specs"][m]), create=False
+    )
     own_group = trainer.groups[m]
     own_group.memory = shared.memory
     own_group.mailbox = shared.mailbox
@@ -166,23 +228,12 @@ def train_worker(
 
     # ---- recovery state: the commit slab is the single source of truth for
     # the resumable run — fresh starts load the parent's commit 0, restarts
-    # load whatever the fleet last sealed.  Group leaders (shard 0) also map
-    # their group's two shadow slots for the commit-window copies.
-    if commit_spec is None:
-        raise ValueError("train_worker needs a commit slab (commit_spec)")
-    slab = CommitSlab.attach(commit_spec)
+    # load whatever the fleet last sealed.  The group leader (row 0, shard
+    # 0) also maps its group's two shadow slots for the commit-window copies.
+    slab = CommitSlab.attach(bundle["commit_spec"])
     shadows: Optional[List[SharedGroupState]] = None
-    if s == 0 and shadow_specs is not None:
-        shadows = _attach_states(shadow_specs[m])
-
-    def load_committed() -> dict:
-        meta, arrays, book = decode_commit(slab.read())
-        from .launcher import load_trainer_state
-
-        load_trainer_state(trainer, meta, arrays)
-        return book
-
-    book = load_committed()
+    if s == 0 and rows[0] == 0:
+        shadows = _attach_states(bundle["shadow_specs"][m])
 
     # ---- iteration plan: the launcher owns the fairness arithmetic and
     # ships one absolute target, so fresh runs, session continues and
@@ -193,19 +244,34 @@ def train_worker(
     commit_every = max(1, int(train_meta.get("commit_every", 1)))
     visits_per_iteration = j * k
 
-    history: List[dict] = list(book["history"])
-    recent: List[float] = list(book["recent"])
-    last_eval_sweeps = int(book["last_eval_sweeps"])
-    cache: Optional[list] = None
-    prev_batch = {g.index: g.prev_batch for g in trainer.groups}
+    history: List[dict] = []
+    recent: List[float] = []
+    last_eval_sweeps = 0
+    prev_batch: Dict[int, int] = {}
+    cache: Dict[int, object] = {}     # this rank's block entries, by row
     substep = 0
     blocks_done = 0
     sync_time = 0.0
     commit_work = 0.0
-    import time as _time
+    comms = None
+    generation = int(bundle.get("generation", 0))
 
-    loop_start = _time.perf_counter()
-    cpu_start = _time.process_time()
+    def load_committed() -> None:
+        nonlocal history, recent, last_eval_sweeps, prev_batch
+        nonlocal cache, substep, blocks_done
+        meta, arrays, book = decode_commit(slab.read())
+        load_trainer_state(trainer, meta, arrays)
+        history = list(book["history"])
+        recent = list(book["recent"])
+        last_eval_sweeps = int(book["last_eval_sweeps"])
+        prev_batch = {g.index: g.prev_batch for g in trainer.groups}
+        cache = {}
+        substep = 0
+        blocks_done = 0
+
+    load_committed()
+    loop_start = time.perf_counter()
+    cpu_start = time.process_time()
 
     def synced(phase, fn, *args, **kwargs):
         """Run a collective under telemetry: one ``cat="sync"`` span named
@@ -217,16 +283,17 @@ def train_worker(
         if tag is not None:
             span_args["tag"] = tag
         with span(phase, **span_args):
-            t0 = _time.perf_counter()
+            t0 = time.perf_counter()
             out = fn(*args, **kwargs)
-            sync_time += _time.perf_counter() - t0
+            sync_time += time.perf_counter() - t0
         return out
 
     def commit_window() -> None:
         """Two-barrier durable commit of the whole resumable run."""
-        synced("barrier", world_comm.barrier, "commit/enter")
+        nonlocal commit_work
+        synced("barrier", comms.world.barrier, "commit/enter")
         slot = slab.next_slot
-        t0 = _time.perf_counter()
+        t0 = time.perf_counter()
         with span("commit", cat="commit", slot=int(slot)):
             if shadows is not None:
                 shadows[slot].memory.copy_from(shared.memory)
@@ -245,12 +312,11 @@ def train_worker(
                         },
                     ),
                 )
-        nonlocal commit_work
-        commit_work += _time.perf_counter() - t0
+        commit_work += time.perf_counter() - t0
         iteration = trainer._iteration
         synced(
             "barrier",
-            world_comm.barrier,
+            comms.world.barrier,
             "commit/seal",
             root_section=lambda: slab.seal(slot, iteration),
         )
@@ -258,92 +324,93 @@ def train_worker(
         # durable, so a kill after this instant still shows the full run-up
         obs_flush()
 
+    def canonical_row(r: int, b_idx: int, wrap: bool) -> None:
+        nonlocal commit_work
+        if comms.tok_prev is not None:
+            # pipelined canonical pass: this row may start as soon as the
+            # previous row's write-back has committed
+            synced("barrier", comms.tok_prev.expect, "tok/pass")
+
+        def reset_if_wrap():
+            if wrap:
+                shared.memory.reset()
+                shared.mailbox.reset()
+
+        # barrier 1: previous batch's writes are committed and the row
+        # leader applies the wrap reset pre-read
+        synced("barrier", comms.row.barrier, "pre-read", root_section=reset_if_wrap)
+        batch = trainer.loader.batch(b_idx)
+        shard = batch.split_local(i)[s] if i > 1 else batch
+        read = trainer._read_shard(shard, view)
+        # barrier 2: every shard finished reading shared
+        synced("barrier", comms.row.barrier, "post-read")
+        entry, wb = trainer._forward_shard(read, batch.size, row=r)
+
+        def writeback():
+            # the writeback is compute, not waiting: keep it out of sync_time
+            nonlocal commit_work
+            t0 = time.perf_counter()
+            with span("writeback", cat="commit"):
+                if wb is not None:
+                    TGN.apply_writeback(wb, shared.memory, shared.mailbox)
+            commit_work += time.perf_counter() - t0
+
+        # rank-ordered commit: chronological shards in sequence reproduce
+        # the logical single-writer pass
+        synced("serial", comms.row.serial_section, writeback, tag="writeback")
+        if comms.tok_next is not None:
+            comms.tok_next.send("tok/pass")
+        cache[r] = entry
+
+    def reduce_gradient(vec: np.ndarray) -> np.ndarray:
+        """Row-order slot fold, block-order leader allreduce, slot fan-out.
+        World-1 communicators are skipped outright (no span, no copy), so a
+        rank owning all its rows pays exactly one flat allreduce."""
+        slot, leader = comms.slot, comms.leader
+        if slot.world > 1:
+            vec = synced("allreduce", slot.reduce_to_root, vec)
+        if slot.rank != 0:
+            return synced("allreduce", slot.broadcast).array("vec")
+        if leader.world > 1:
+            vec = synced("allreduce", leader.allreduce_sum, vec)
+        if slot.world > 1:
+            synced("allreduce", slot.broadcast, {"vec": vec})
+        return vec
+
     def run_loop() -> None:
-        nonlocal cache, substep, blocks_done, last_eval_sweeps
-        synced("barrier", world_comm.barrier, "start")
+        nonlocal substep, blocks_done, last_eval_sweeps
+        synced("barrier", comms.world.barrier, "start")
         while trainer._iteration < target:
             failpoints.fire(
-                "worker.step",
-                rank=rank,
-                step=trainer._iteration,
-                pipe_drop=lambda: (
-                    world_comm.close(),
-                    group_comm.close(),
-                    reduce_comm.close(),
-                ),
+                "worker.step", rank=rank, step=trainer._iteration,
+                pipe_drop=comms.close,
+            )
+            failpoints.fire(
+                "fabric.machine", rank=rank, step=trainer._iteration,
+                crash=kill_machine,
             )
             with use_fused(spec.fused):
                 if substep == 0:
-                    # every rank advances every group's cursor (integers
-                    # only); compute happens for the rank's own slice
                     blocks = {g.index: g.next_block(j) for g in trainer.groups}
+                    own_block = blocks[m]
+                    wraps = [
+                        b <= prev
+                        for prev, b in zip([prev_batch[m]] + own_block, own_block)
+                    ]
                     for g_idx, block in blocks.items():
-                        if g_idx != m:
-                            prev_batch[g_idx] = block[-1]
-                    cache = []   # this rank's block entries, one per sub-batch
-                    for b_idx in blocks[m]:
-                        wrap = b_idx <= prev_batch[m]
-                        prev_batch[m] = b_idx
+                        prev_batch[g_idx] = block[-1]
+                    cache.clear()
+                    for r in rows:
+                        canonical_row(r, own_block[r], wraps[r])
 
-                        def reset_if_wrap():
-                            if wrap:
-                                shared.memory.reset()
-                                shared.mailbox.reset()
-
-                        # barrier 1: previous batch's writes are committed
-                        # and the leader applies the wrap reset pre-read
-                        synced(
-                            "barrier",
-                            group_comm.barrier,
-                            "pre-read",
-                            root_section=reset_if_wrap,
-                        )
-                        batch = trainer.loader.batch(b_idx)
-                        shard = batch.split_local(i)[s] if i > 1 else batch
-                        # read + forward phases are the trainer's own shard
-                        # methods (one implementation, so the backends
-                        # cannot drift); only the ordering lives here
-                        read = trainer._read_shard(shard, view)
-                        # barrier 2: every shard finished reading shared
-                        synced("barrier", group_comm.barrier, "post-read")
-                        entry, wb = trainer._forward_shard(
-                            read, batch.size, row=len(cache)
-                        )
-
-                        def commit():
-                            # the writeback is compute, not waiting: keep
-                            # it out of sync_time
-                            nonlocal commit_work
-                            t0 = _time.perf_counter()
-                            with span("writeback", cat="commit"):
-                                if wb is not None:
-                                    TGN.apply_writeback(
-                                        wb, shared.memory, shared.mailbox
-                                    )
-                            commit_work += _time.perf_counter() - t0
-
-                        # rank-ordered commit: chronological shards in
-                        # sequence reproduce the logical single-writer pass
-                        synced(
-                            "serial", group_comm.serial_section, commit,
-                            tag="writeback",
-                        )
-                        cache.append(entry)
-
-                # ---- gradient step: this rank's block of j loss terms
-                # through the trainer's own per-term arithmetic into the
-                # float64 block partial
+                # ---- gradient step: the owned rows' loss terms through the
+                # trainer's own per-term arithmetic into the float64 partial
                 acc = TermGradAccumulator(trainer.optimizer.params)
-                for r in range(j):
-                    entry = cache[r]
-                    if entry is not None:
-                        trainer._accumulate_term(acc, entry, r, substep)
-                vec = acc.to_vector()
-                if world > 1:
-                    # rank-ordered float64 sum == the logical trainer's
-                    # block-order reduce_partials, bitwise on any topology
-                    vec = synced("allreduce", reduce_comm.allreduce_sum, vec)
-                global_loss = load_reduced(trainer.optimizer.params, vec)
+                for r in rows:
+                    if cache[r] is not None:
+                        trainer._accumulate_term(acc, cache[r], r, substep)
+                total = reduce_gradient(acc.to_vector())
+                global_loss = load_reduced(trainer.optimizer.params, total)
                 clip_grad_norm(trainer.optimizer.params, spec.grad_clip)
                 trainer.optimizer.step()
                 recent.append(global_loss)
@@ -355,27 +422,19 @@ def train_worker(
             if group0.sweeps_completed >= last_eval_sweeps + eval_every:
                 last_eval_sweeps = group0.sweeps_completed
                 trainer._sweep_negative_offset += j
-                synced("barrier", world_comm.barrier, "pre-eval")
+                synced("barrier", comms.world.barrier, "pre-eval")
                 if rank == 0:
-                    val = trainer._evaluate_split("val", warm_group=group0)
-                    point = {
-                        "iteration": trainer._iteration,
-                        "edges_traversed": trainer._iteration
-                        * visits_per_iteration
-                        * trainer.global_batch,
-                        "train_loss": float(np.mean(recent)),
-                        "val_metric": val.metric,
-                    }
-                    history.append(point)
+                    history.append(history_point())
                     if verbose:
                         print(
-                            f"[{cfg.parallel.label()}|process w{world}] "
+                            f"[{plan.label()}|"
+                            f"{'fabric' if fanout else 'process'} w{world}] "
                             f"it={trainer._iteration} "
-                            f"loss={point['train_loss']:.4f} "
-                            f"val={val.metric:.4f}"
+                            f"loss={history[-1]['train_loss']:.4f} "
+                            f"val={history[-1]['val_metric']:.4f}"
                         )
                 recent.clear()
-                synced("barrier", world_comm.barrier, "post-eval")
+                synced("barrier", comms.world.barrier, "post-eval")
 
             if substep == 0:
                 blocks_done += 1
@@ -390,36 +449,43 @@ def train_worker(
         if slab.header[1] < trainer._iteration:
             commit_window()
 
-        synced("barrier", world_comm.barrier, "end")
+        synced("barrier", comms.world.barrier, "end")
         # the canonical kill-after-end-barrier site (hit-counter keyed):
         # from here on no training collectives remain, only finalization
-        failpoints.fire(
-            "worker.finalize",
-            rank=rank,
-            pipe_drop=lambda: (
-                world_comm.close(),
-                group_comm.close(),
-                reduce_comm.close(),
-            ),
-        )
+        failpoints.fire("worker.finalize", rank=rank, pipe_drop=comms.close)
 
-    # ---- supervised execution: commit / park / rollback / resume.  A
-    # finalize-only rank (respawned into the finalization window, or
-    # resumed into it) skips the loop and collectives entirely: the sealed
+    def history_point() -> dict:
+        val = trainer._evaluate_split("val", warm_group=trainer.groups[0])
+        return {
+            "iteration": trainer._iteration,
+            "edges_traversed": trainer._iteration
+            * visits_per_iteration
+            * trainer.global_batch,
+            "train_loss": float(np.mean(recent)) if recent else float("nan"),
+            "val_metric": val.metric,
+        }
+
+    # ---- supervised execution: connect / run / park / rollback / resume.
+    # A finalize-only rank (respawned into the finalization window, or
+    # resumed into it) skips wiring and collectives entirely: the sealed
     # final commit it loaded *is* the end-of-run state.
     bench = None
-    while not finalize_only:
+    finalize = bool(bundle.get("finalize_only"))
+    while not finalize:
         try:
+            if comms is None:
+                comms = connect(generation)
             run_loop()
             obs_flush()
-            bench = world_comm.gather_meta(
+            bench = comms.world.gather_meta(
                 {
                     "rank": rank,
-                    "loop_s": _time.perf_counter() - loop_start,
+                    "host": machine,
+                    "loop_s": time.perf_counter() - loop_start,
                     # sync = time inside collectives minus the commit work
                     # executed under them (compute, not waiting)
                     "sync_s": max(sync_time - commit_work, 0.0),
-                    "cpu_s": _time.process_time() - cpu_start,
+                    "cpu_s": time.process_time() - cpu_start,
                     "commit_s": commit_work,
                     # span-fed per-phase seconds (empty unless tracing) —
                     # the bench's phase columns come from here
@@ -428,25 +494,17 @@ def train_worker(
             )
             break
         except TransportError as exc:
-            generation, finalize = _park(
-                channel, rank, exc, iteration=trainer._iteration
-            )
-            book = load_committed()
-            history = list(book["history"])
-            recent = list(book["recent"])
-            last_eval_sweeps = int(book["last_eval_sweeps"])
-            prev_batch = {g.index: g.prev_batch for g in trainer.groups}
-            substep = 0
-            blocks_done = 0
-            cache = None
-            if finalize:
-                # the fleet sealed its final commit before the fault: no
-                # collectives remain to rejoin (peers may already be gone),
-                # finish from the sealed state; the bench gather is lost
-                break
-            world_comm = world_comms[generation]
-            group_comm = group_comms[generation]
-            reduce_comm = reduce_comms[generation] if reduce_comms else world_comm
+            # close EVERYTHING first: the EOF cascade parks the rest of the
+            # fleet within one collective op instead of one timeout
+            if comms is not None:
+                comms.close()
+                comms = None
+            generation, finalize = _park(ctrl, rank, exc, trainer._iteration)
+            # on finalize no collectives remain to rejoin (peers may already
+            # be gone): finish from the sealed state; the bench gather is lost
+            load_committed()
+    if comms is not None:
+        comms.close()
 
     # ---- finalization (rank 0 only): trailing eval, test metric, state out
     if rank != 0:
@@ -455,25 +513,13 @@ def train_worker(
         return {"rank": rank, "ok": True}, {}
 
     if not history:
-        val = trainer._evaluate_split("val", warm_group=trainer.groups[0])
-        history.append(
-            {
-                "iteration": trainer._iteration,
-                "edges_traversed": trainer._iteration
-                * visits_per_iteration
-                * trainer.global_batch,
-                "train_loss": float(np.mean(recent)) if recent else float("nan"),
-                "val_metric": val.metric,
-            }
-        )
+        history.append(history_point())
     vals = [h["val_metric"] for h in history]
     best_idx = int(np.argmax(vals))
     test = trainer._evaluate_split("test", warm_group=trainer.groups[0])
 
     # the result payload IS a trainer snapshot (one wire layout, owned by
     # the launcher) plus the run's outcome metadata
-    from .launcher import snapshot_trainer_state
-
     for g in trainer.groups:
         g.prev_batch = prev_batch[g.index]
     snap = snapshot_trainer_state(trainer)
@@ -481,7 +527,7 @@ def train_worker(
         **snap["meta"],
         "rank": 0,
         "ok": True,
-        "config_label": cfg.parallel.label(),
+        "config_label": plan.label(),
         "history": history,
         "best_val": vals[best_idx],
         "iterations_to_best": history[best_idx]["iteration"],
@@ -489,39 +535,9 @@ def train_worker(
         "test_metric": test.metric,
         "bench": bench,
         "world": world,
+        "machines": plan.machines,
+        "topology": cfg.train.topology,
     }
     shared.close()
     obs_flush()
     return meta, snap["arrays"]
-
-
-def _park(
-    channel, rank: int, exc: BaseException, iteration: int = -1
-) -> Tuple[int, bool]:
-    """Report a collective failure and wait for the launcher's verdict.
-
-    Returns ``(generation, finalize)``: the communicator generation to
-    resume on, and whether the fault landed in the finalization window
-    (resume by replaying finalization from the sealed final commit instead
-    of rejoining collectives).  If the launcher is gone (or answers
-    ``abort``) the worker exits instead of lingering.
-    """
-    # mark the park on the timeline and make the trace durable before
-    # blocking — if recovery never comes, the events are already on disk
-    obs_instant("park", iteration=int(iteration), error=repr(exc))
-    obs_flush()
-    try:
-        channel.send(
-            "parked",
-            meta={"rank": rank, "error": repr(exc), "iteration": int(iteration)},
-        )
-    except Exception:
-        raise SystemExit(1) from exc
-    while True:
-        frame = channel.recv()  # channel default timeout bounds the wait
-        if frame.tag == "resume":
-            return int(frame.meta["generation"]), bool(
-                frame.meta.get("finalize", False)
-            )
-        if frame.tag == "abort":
-            raise SystemExit(1)

@@ -33,7 +33,7 @@ Spec syntax (one spec, also the env-var element; specs join with ``;``)::
     ``crash``      — ``SIGKILL`` the process (no cleanup, no error frame:
                      the hard-death path the launcher must survive).  A
                      site may pass a ``crash`` callback to scope the blast
-                     radius — the fabric worker's ``fabric.machine`` site
+                     radius — on a fabric rank the ``fabric.machine`` site
                      SIGKILLs its whole host agent (children included)
                      instead of just itself, the machine-loss drill;
     ``wedge``      — spin forever (the process stays alive but makes no

@@ -19,8 +19,8 @@ from repro.api.config import (
 )
 from repro.api.session import Session
 from repro.parallel.config import ParallelConfig
-from repro.runtime.launcher import ProcessGroup, WorkerFailure
-from repro.runtime.worker import train_worker
+from repro.runtime.launcher import RecoveryPolicy, WorkerFailure, run_process_fit
+from repro.testing import failpoints
 
 
 def tiny_config(plan: str, seed: int = 0) -> ExperimentConfig:
@@ -115,136 +115,37 @@ class TestEquivalence:
 
 
 class TestFailurePropagation:
+    """With the restart budget at zero the supervisor is a plain failure
+    propagator: every way a rank can fail ends in one WorkerFailure."""
+
     def test_worker_exception_raises_not_hangs(self):
         """A rank that dies during setup must surface as one raised
         WorkerFailure carrying the remote traceback."""
         cfg = tiny_config("1x1x1")
-        bad = dict(cfg.to_dict())
-        bad["data"] = {"dataset": "wikipedia", "scale": -1.0}  # validation boom
-        from repro.runtime.collectives import Communicator
-
-        with ProcessGroup(
-            train_worker,
-            [
-                {
-                    "config_dict": bad,
-                    "shared_specs": [],
-                    "world_comms": {0: Communicator(0, 1)},
-                    "group_comms": {0: Communicator(0, 1)},
-                    "train_meta": {},
-                }
-            ],
-            timeout=120.0,
-        ) as group:
-            with pytest.raises(WorkerFailure) as err:
-                group.start().join()
+        parent = Session(cfg)
+        # past the parent's own validation: only the rank's rebuild trips
+        object.__setattr__(cfg.data, "scale", -1.0)
+        with pytest.raises(WorkerFailure) as err:
+            run_process_fit(
+                cfg, parent.trainer, max_iterations=4, timeout=120.0,
+                recovery=RecoveryPolicy(max_restarts=0),
+            )
         assert "scale must be positive" in str(err.value)
 
     def test_wedged_worker_times_out_not_hangs(self):
-        """A rank stuck in a collective (its peer never spawned) must be
-        terminated at the deadline, not waited on forever."""
-        from repro.runtime.collectives import make_local_communicators
-        from repro.runtime.launcher import prepare_recovery_state
-        from repro.runtime.sharedmem import create_group_states, destroy_states
+        """A wedged rank (and the peer stuck in a collective waiting for
+        it) must be terminated at the fit deadline, not waited on forever."""
+        import multiprocessing as mp
 
         cfg = tiny_config("2x1x1")
         parent = Session(cfg)
-        comms = make_local_communicators(2, default_timeout=300.0)
-        states = create_group_states(
-            1,
-            num_nodes=parent.graph.num_nodes,
-            memory_dim=16,
-            edge_dim=parent.graph.edge_dim,
-        )
-        slab, shadow_pairs, shadow_specs = prepare_recovery_state(
-            cfg, parent.trainer
-        )
-        try:
-            with ProcessGroup(
-                train_worker,
-                [
-                    {
-                        "config_dict": cfg.to_dict(),
-                        "shared_specs": [st.spec.to_dict() for st in states],
-                        "commit_spec": slab.to_dict(),
-                        "shadow_specs": shadow_specs,
-                        # rank 0's barrier waits on a rank 1 that never starts
-                        "world_comms": {0: comms[0]},
-                        "group_comms": {0: comms[0]},
-                        "train_meta": {"target_iteration": 4},
-                    }
-                ],
-                timeout=20.0,
-            ) as group:
-                with pytest.raises(WorkerFailure, match="no result within"):
-                    group.start().join()
-                assert all(not p.is_alive() for p in group.processes)
-        finally:
-            destroy_states(states)
-            for pair in shadow_pairs:
-                destroy_states(pair)
-            slab.close()
-            slab.unlink()
-            for comm in comms:
-                comm.close()
-
-    def test_poll_failures_reports_crash_and_terminates(self):
-        """The non-blocking health check (the serving front door's guard)
-        must raise WorkerFailure with the remote traceback — a dead pipe at
-        EOF stays poll()-readable and must not mask the diagnostics."""
-        import time
-
-        from repro.runtime.collectives import Communicator
-
-        group = ProcessGroup(
-            train_worker,
-            [
-                {
-                    "config_dict": {"data": {"dataset": "wikipedia", "scale": -1.0}},
-                    "shared_specs": [],
-                    "world_comms": {0: Communicator(0, 1)},
-                    "group_comms": {0: Communicator(0, 1)},
-                    "train_meta": {},
-                }
-            ],
-            timeout=120.0,
-        )
-        group.start()
-        deadline = time.monotonic() + 60.0
-        while group.processes[0].is_alive() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        with pytest.raises(WorkerFailure) as err:
-            # repeated polls: the first drains the error frame; make sure a
-            # pipe at EOF afterwards still raises WorkerFailure, not a
-            # transport error
-            group.poll_failures()
-        assert "scale must be positive" in str(err.value)
-        with pytest.raises(WorkerFailure):
-            group.poll_failures()
-
-    def test_process_group_shutdown_idempotent(self):
-        """shutdown()/terminate() must be safe to call repeatedly, before
-        start, and again after a join — the context-manager contract chaos
-        tests lean on."""
-        from repro.runtime.collectives import Communicator
-
-        kwargs = [
-            {
-                "config_dict": {"data": {"dataset": "wikipedia", "scale": -1.0}},
-                "shared_specs": [],
-                "world_comms": {0: Communicator(0, 1)},
-                "group_comms": {0: Communicator(0, 1)},
-                "train_meta": {},
-            }
-        ]
-        unstarted = ProcessGroup(train_worker, kwargs, timeout=30.0)
-        unstarted.shutdown()      # never started: must not raise
-        unstarted.shutdown()
-        with ProcessGroup(train_worker, kwargs, timeout=60.0) as group:
-            with pytest.raises(WorkerFailure):
-                group.start().join()
-            group.shutdown()      # join already tore down; still safe
-        group.shutdown()          # and again after __exit__
+        with failpoints.scoped({"worker.step:1": ("wedge", 1)}):
+            with pytest.raises(WorkerFailure, match="no result within"):
+                run_process_fit(
+                    cfg, parent.trainer, max_iterations=4, timeout=5.0,
+                    recovery=RecoveryPolicy(max_restarts=0),
+                )
+        assert not mp.active_children()
 
     def test_fit_backend_validation(self):
         sess = Session(tiny_config("1x1x1"))

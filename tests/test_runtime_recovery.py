@@ -14,6 +14,7 @@ of wedging the suite.
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.api.config import (
     TrainConfig,
 )
 from repro.api.session import Session
+from repro.obs import get_registry
 from repro.parallel.config import ParallelConfig
 from repro.runtime.launcher import RecoveryPolicy, WorkerFailure
 from repro.runtime.sharedmem import CommitSlab
@@ -196,6 +198,23 @@ class TestElasticRecovery:
         assert report.recovered
         assert report.bitwise_equal, report.differences
 
+    def test_crashed_rank_parks_peers_by_eof_not_timeout(self):
+        """A SIGKILLed rank's pipes must EOF at once (the supervisor holds
+        no duplicate ends of a running generation) and a parking rank
+        closes its collectives first — so recovery costs a respawn, not a
+        collective timeout."""
+        start = time.monotonic()
+        report = differential_chaos_fit(
+            tiny_config("2x1x1"),
+            {"worker.step:3": ("crash", 1)},
+            max_iterations=8,
+            recovery=RecoveryPolicy(collective_timeout=60.0),
+            timeout=FIT_TIMEOUT,
+        )
+        assert report.recovered
+        assert report.bitwise_equal, report.differences
+        assert time.monotonic() - start < 30.0
+
     def test_sigkill_rank0_recovers_bitwise(self):
         """Rank 0 owns the history/eval bookkeeping; killing it proves the
         commit slab, not the process, is the source of truth."""
@@ -353,6 +372,8 @@ class TestConcurrentFaults:
     def test_two_ranks_dead_same_block_one_restart(self):
         """Both ranks SIGKILLed at the same iteration: one recovery pass,
         one restart — max_restarts=1 must survive it."""
+        restarts = get_registry().counter("recovery/restarts")
+        before = restarts.value
         report = differential_chaos_fit(
             tiny_config("2x1x1"),
             {"worker.step:3@0": ("crash", 0), "worker.step:3@1": ("crash", 1)},
@@ -364,12 +385,16 @@ class TestConcurrentFaults:
         )
         assert report.recovered
         assert report.bitwise_equal, report.differences
+        # the metric counts episodes, exactly like the budget
+        assert restarts.value - before == 1
 
     def test_fault_during_rollback_reexecution_same_episode(self):
         """commit_every=3 keeps the seal at iteration 3 while the fleet
         re-executes 3..6 after the first crash; the second fault fires
         inside that re-execution, before any new seal — same episode,
         ONE restart, so max_restarts=1 still survives both."""
+        restarts = get_registry().counter("recovery/restarts")
+        before = restarts.value
         report = differential_chaos_fit(
             tiny_config("2x1x1"),
             {"worker.step:3@1": ("crash", 1), "worker.step:4@0": ("exc", 0)},
@@ -382,12 +407,16 @@ class TestConcurrentFaults:
         )
         assert report.recovered
         assert report.bitwise_equal, report.differences
+        # the metric counts episodes, exactly like the budget
+        assert restarts.value - before == 1
 
     def test_supervisor_fault_during_recovery_is_absorbed(self):
         """The supervisor-side failpoint aborts the first recovery attempt
         mid-flight; the guarded re-entry folds the half-recovered fleet
         into the next pass — and the aborted attempt does not consume a
         restart."""
+        restarts = get_registry().counter("recovery/restarts")
+        before = restarts.value
         report = differential_chaos_fit(
             tiny_config("2x1x1"),
             {
@@ -402,6 +431,8 @@ class TestConcurrentFaults:
         )
         assert report.recovered
         assert report.bitwise_equal, report.differences
+        # the metric counts episodes, exactly like the budget
+        assert restarts.value - before == 1
 
 
 # ------------------------------------------------------ randomized schedules
