@@ -43,11 +43,12 @@ Every ``Session`` can execute on two engines with **identical results**:
   gradient-reduction contract (``repro.parallel.TermGradAccumulator``), so
   the loss trajectory and metrics match **bitwise**, while multi-core hosts
   get real parallel speedup (``python -m repro.cli runtime-bench``).
-* ``sess.serve(replicas=k, process_replicas=True)`` — serving replicas as
-  worker processes: each owns a model copy (true compute parallelism), all
-  share one node-memory segment, predictions bit-identical to the threaded
-  cluster (and ``cluster.save()/restore()`` snapshots are interchangeable
-  between the two kinds).  ``python -m repro.cli train --backend process``
+* ``sess.serve(replicas=k, process_replicas=True)`` — the same
+  ``ServingCluster`` front door over a fleet of worker processes: each owns
+  a model copy (true compute parallelism), all share one node-memory
+  segment, predictions bit-identical to in-thread replicas (and
+  ``cluster.save()/restore()`` snapshots are interchangeable between the
+  two fleets).  ``python -m repro.cli train --backend process``
   and ``examples/quickstart.py --backend process`` drive the same switch.
 
 Multi-host runtime
@@ -122,7 +123,8 @@ Serving at scale
 ----------------
 The serving tier is elastic and keeps learning without ever breaking the
 bitwise contract.  Three layers, all config-driven (``ServeConfig``) and
-all scriptable from the cluster object:
+all scriptable from the one cluster object, whichever replica fleet
+(threads or processes) is behind it:
 
 * **Tail-latency SLOs** — ``deadline_ms`` gives every request a completion
   budget: requests whose budget cannot be met are shed at admission
@@ -136,13 +138,13 @@ all scriptable from the cluster object:
   the fleet between ``min_replicas``/``max_replicas`` from queue depth and
   the latency reservoir.  ``cluster.add_replica()`` seeds the newcomer
   bitwise from a live copy; ``remove_replica()`` parks the victim until
-  its in-flight work drains.  Works on both cluster kinds.
+  its in-flight work drains.
 * **Online continual learning** — ``repro.serve.ContinualLearner`` is the
   train-while-serve loop: it drains the WAL past a held cursor
   (``cluster.hold_wal_cursor`` — truncation never outruns a reader),
   warm-starts a short refit over base + streamed events, exports a
   loadable checkpoint directory, hot-swaps the new weights into the live
-  fleet (``cluster.hot_swap``, either backend), then *proves* the swap:
+  fleet (``cluster.hot_swap``), then *proves* the swap:
   probe queries against a fresh ``Session.load`` of the export must match
   byte for byte or the swap raises::
 
@@ -273,9 +275,10 @@ subpackage for fine-grained control:
   orchestrator (§3.2–3.3) and its checkpointing;
 * ``repro.infer.InferenceEngine`` — TGOpt-style redundancy-aware inference;
 * ``repro.serve.ServingCluster`` — replicated micro-batched serving with
-  WAL-backed streaming ingestion;
+  WAL-backed streaming ingestion: one front door over a replica fleet;
 * ``repro.runtime`` — the process execution backend: frame transport,
-  collectives, shared-memory state, the fit supervisor, process serving;
+  collectives, shared-memory state, the fit supervisor, the process
+  replica fleet (``runtime.serving.ProcessFleet``);
 * ``repro.parallel.plan_for_graph`` — the §3.2.4 configuration planner;
 * ``repro.sim.CostModel`` — Fig.-12 throughput modeling of the testbed.
 

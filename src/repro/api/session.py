@@ -18,6 +18,7 @@ API; the Session only wires it together from one serializable description.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 from typing import Optional, Union
@@ -282,36 +283,46 @@ class Session:
     def serve(self, replicas: Optional[int] = None, *, policy: Optional[str] = None,
               admission_limit=_UNSET, max_batch_pairs: Optional[int] = None,
               max_delay_ms: Optional[float] = None, process_replicas: bool = False):
-        """Build a serving cluster wired to the trained model and decoder.
+        """Build the serving front door wired to the trained model and decoder.
 
-        The cluster serves from a fresh copy of the training slice of the
-        graph (held-out events can then be streamed in via
-        :meth:`held_out_stream` / ``cluster.ingest``), so repeated calls
-        never share mutable graph state.  Keyword overrides fall back to the
-        config's ``serve`` section.  The SLO fields (``deadline_ms``,
-        ``hedge_quantile``, ``hedge_min_ms``) and ``wal_auto_truncate``
-        flow straight from the config; hedged dispatch and deadline
-        shedding are threaded-cluster features, while both backends honor
-        WAL auto-truncation and the latency reservoir cap.
+        Always a :class:`repro.serve.ServingCluster` — one front door
+        (routing, admission, deadlines, hedging, WAL, elasticity, hot swap,
+        snapshots) over a fleet of ``replicas`` replicas.  It serves from a
+        fresh copy of the training slice of the graph (held-out events can
+        then be streamed in via :meth:`held_out_stream` /
+        ``cluster.ingest``), so repeated calls never share mutable graph
+        state.  Keyword overrides fall back to the config's ``serve``
+        section; every other ``serve`` field (``deadline_ms``,
+        ``hedge_quantile``, ``hedge_min_ms``, ``wal_auto_truncate``, ...)
+        flows straight from the config to either fleet.
 
-        ``process_replicas=False`` (default) returns the threaded
-        :class:`repro.serve.ServingCluster`.  ``process_replicas=True``
-        returns a :class:`repro.runtime.ProcessServingCluster`: each
-        replica is a worker process with its own model copy over one
-        shared-memory serving state — bit-identical predictions, true
-        compute parallelism on multi-core hosts.  Use it as a context
-        manager (or call ``shutdown()``) to release the processes.
+        ``process_replicas`` picks the fleet and nothing else.  ``False``
+        (default): in-thread replicas, each with a private copy of the
+        serving state over the shared model.  ``True``: worker processes
+        with their own model copies over one shared-memory serving state
+        (:class:`repro.runtime.serving.ProcessFleet`) — bit-identical
+        predictions, true compute parallelism on multi-core hosts.  Use
+        that cluster as a context manager (or call ``shutdown()``) to
+        release the processes and the segment.
         """
         if self.task != "link":
             raise ValueError(
                 f"serving needs a link-prediction task, got {self.task!r}"
             )
+        from ..serve.cluster import ServingCluster
+
+        fleet = None
+        if process_replicas:
+            from ..runtime.serving import ProcessFleet
+
+            fleet = functools.partial(ProcessFleet, config=self.config)
         sv = self.config.serve
-        serve_graph = self.graph.slice_events(self.trainer.split.train)
-        # one resolved override set for either cluster kind — the two paths
-        # must never end up with silently different effective settings
-        kwargs = dict(
+        return ServingCluster(
+            self.model,
+            self.graph.slice_events(self.trainer.split.train),
+            self.decoder,
             k=replicas if replicas is not None else sv.replicas,
+            fleet=fleet,
             policy=policy if policy is not None else sv.policy,
             admission_limit=(
                 sv.admission_limit if admission_limit is _UNSET else admission_limit
@@ -325,27 +336,11 @@ class Session:
             dedup=sv.dedup,
             memoize_time=sv.memoize_time,
             histogram_cap=self.config.obs.histogram_reservoir,
+            deadline=sv.deadline_ms * 1e-3 if sv.deadline_ms is not None else None,
+            hedge_quantile=sv.hedge_quantile,
+            hedge_min_delay=sv.hedge_min_ms * 1e-3,
             auto_truncate_wal=sv.wal_auto_truncate,
         )
-        if not process_replicas:
-            # SLO plumbing is a front-door (threaded) feature: hedged
-            # dispatch needs cancellable queue entries, which the process
-            # protocol does not expose (its resilience features are replica
-            # respawn + request replay instead)
-            kwargs["deadline"] = (
-                sv.deadline_ms * 1e-3 if sv.deadline_ms is not None else None
-            )
-            kwargs["hedge_quantile"] = sv.hedge_quantile
-            kwargs["hedge_min_delay"] = sv.hedge_min_ms * 1e-3
-        if process_replicas:
-            from ..runtime.serving import ProcessServingCluster
-
-            return ProcessServingCluster(
-                self.config, serve_graph, self.model, self.decoder, **kwargs
-            )
-        from ..serve.cluster import ServingCluster
-
-        return ServingCluster(self.model, serve_graph, self.decoder, **kwargs)
 
     def held_out_stream(self, chunk: Optional[int] = None, *, stop: str = "val"):
         """Iterator of held-out event batches (for ``cluster.ingest``):

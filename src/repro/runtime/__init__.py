@@ -30,9 +30,10 @@ Layers, bottom up:
   finishes bitwise equal to an unfaulted one) over a small spawner
   interface, plus :class:`LocalSpawner`: ``i×k`` child processes over
   pipes, the ``j`` rows kept in-rank (``Session.fit(backend="process")``);
-* :mod:`~repro.runtime.serving` — :class:`ProcessServingCluster`,
-  process replicas with their own model copies over one shared serving
-  state (bit-identical to the threaded cluster);
+* :mod:`~repro.runtime.serving` — :class:`ProcessFleet`, the process
+  replica fleet behind :class:`repro.serve.ServingCluster`: workers with
+  their own model copies over one shared serving state (bit-identical to
+  in-thread replicas), respawned in place when they die;
 * :mod:`~repro.runtime.fabric` — the second spawner: host agents
   (``repro.cli agent``) joined over a TCP rendezvous, rank-level socket
   wiring with star/ring/tree leader topologies, the ``j`` dimension fanned
@@ -59,7 +60,7 @@ from .launcher import (
     apply_process_result,
     run_process_fit,
 )
-from .serving import ProcessPendingResult, ProcessServingCluster
+from .serving import ProcessFleet, ProcessPendingResult, ProcessReplica
 from .sharedmem import (
     CommitSlab,
     SharedGroupState,
@@ -90,8 +91,9 @@ __all__ = [
     "RecoveryPolicy",
     "RetryPolicy",
     "PipeEndpoint",
+    "ProcessFleet",
     "ProcessPendingResult",
-    "ProcessServingCluster",
+    "ProcessReplica",
     "SharedGroupState",
     "SharedStateSpec",
     "SocketEndpoint",

@@ -1,4 +1,4 @@
-"""repro.serve — online TGNN serving: micro-batching, replication, ingestion.
+"""repro.serve — online TGNN serving: one front door over a replica fleet.
 
 The serving subsystem layers six pieces on the inference stack:
 
@@ -6,21 +6,29 @@ The serving subsystem layers six pieces on the inference stack:
   rank/predict requests into fused engine batches, so TGOpt-style
   de-duplication and time-encoding memoization amortize *across* clients;
   per-request deadline budgets and cancellation support hedging/shedding;
-* :class:`ServingCluster` / :class:`ServingReplica` — ``k`` memory-parallel
-  engine replicas (paper §3.2.3 applied to serving): the event stream is
-  broadcast to every replica, reads are routed round-robin or least-loaded,
-  deadline-aware admission sheds requests whose budget cannot be met, and
+* :class:`ServingCluster` — **the** front door (paper §3.2.3 applied to
+  serving): the event stream reaches every replica's state through the
+  WAL, reads are validated and routed round-robin or least-loaded,
+  deadline-aware admission sheds requests whose budget cannot be met,
   hedged dispatch duplicates stragglers onto a second replica (first
-  result wins, the loser is cancelled);
-* :class:`EventLog` / :class:`StreamIngestor` — a write-ahead log of
-  streamed events that updates replica state *and* appends to the shared
-  :class:`~repro.graph.TemporalGraph`, keeping sampled neighborhoods fresh;
-  snapshots (:func:`save_snapshot` / :func:`load_snapshot`) persist and
-  restore the full serving state; named WAL cursors gate batch-granular
-  truncation so the log stays bounded without stranding lagging readers;
+  result wins, the loser is cancelled before compute), replicas come and
+  go, weights hot-swap, state snapshots.  It runs over a *fleet* — the
+  default :class:`ThreadFleet` of in-thread :class:`ServingReplica` copies
+  (private state copies, one shared model) or
+  :class:`repro.runtime.serving.ProcessFleet` (worker processes over one
+  shared-memory state; ``Session.serve(process_replicas=True)``) — with
+  identical behaviour, options and bytes on either;
+* :class:`EventLog` — the write-ahead log every ingested batch lands in
+  before replica state and the shared :class:`~repro.graph.TemporalGraph`
+  advance (keeping sampled neighborhoods fresh); ``cluster.save()`` /
+  ``restore()`` persist and restore the full serving state through
+  :func:`~repro.serve.ingest.write_snapshot` /
+  :func:`~repro.serve.ingest.read_snapshot`; named WAL cursors gate
+  batch-granular truncation so the log stays bounded without stranding
+  lagging readers;
 * :class:`ReplicaAutoscaler` — a queue-depth + tail-latency control loop
   that grows and shrinks the fleet between configured bounds
-  (``cluster.add_replica()`` / ``remove_replica()``, either backend);
+  (``cluster.add_replica()`` / ``remove_replica()``);
 * :class:`ContinualLearner` — train-while-serve: drains the WAL, refits
   with warm-started weights, hot-swaps the new checkpoint into the live
   fleet, and asserts the swap bitwise against a freshly loaded session;
@@ -37,10 +45,10 @@ from .batcher import (
     PendingResult,
     RequestCancelled,
 )
-from .cluster import ClusterStats, ServingCluster, ServingReplica
+from .cluster import ClusterStats, ServingCluster, ServingReplica, ThreadFleet
 from .continual import ContinualLearner, RefitReport
 from .elastic import AutoscaleDecision, ReplicaAutoscaler
-from .ingest import EventLog, StreamIngestor, load_snapshot, save_snapshot
+from .ingest import EventLog
 from .loadgen import LoadReport, LoadSpec, build_queries, event_stream, run_load
 from .metrics import LatencyHistogram, ThroughputMeter
 
@@ -52,15 +60,13 @@ __all__ = [
     "DeadlineExceeded",
     "ServingCluster",
     "ServingReplica",
+    "ThreadFleet",
     "ClusterStats",
     "ReplicaAutoscaler",
     "AutoscaleDecision",
     "ContinualLearner",
     "RefitReport",
     "EventLog",
-    "StreamIngestor",
-    "save_snapshot",
-    "load_snapshot",
     "LatencyHistogram",
     "ThroughputMeter",
     "LoadSpec",

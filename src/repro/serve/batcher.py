@@ -128,6 +128,29 @@ class PendingResult:
         self._event.set()
 
 
+def check_request(
+    num_nodes: int, left: np.ndarray, right: np.ndarray, times: np.ndarray
+) -> None:
+    """Reject a malformed request with ``ValueError``.
+
+    Validation happens in the submitting client, not at flush time — a
+    garbage request must not poison the whole micro-batch it would ride in
+    (nor, behind a process fleet, unwind a replica's frame loop).  ``left``
+    / ``times`` may be length-1 stand-ins for a rank query's scalar source
+    and time; ``right`` is always the full pair axis.
+    """
+    if len(right) == 0 or len(left) == 0:
+        raise ValueError("empty request")
+    for arr in (left, right):
+        if arr.min() < 0 or arr.max() >= num_nodes:
+            raise ValueError(
+                f"node ids must be in [0, {num_nodes}); got "
+                f"[{int(arr.min())}, {int(arr.max())}]"
+            )
+    if not np.isfinite(times).all():
+        raise ValueError("query times must be finite")
+
+
 @dataclass
 class _Request:
     kind: str
@@ -266,19 +289,7 @@ class MicroBatcher:
         self, kind: str, left: np.ndarray, right: np.ndarray, times: np.ndarray,
         deadline: Optional[float] = None,
     ) -> PendingResult:
-        if len(left) == 0:
-            raise ValueError("empty request")
-        # validate in the submitting client, not at flush time — a garbage
-        # request must not poison the whole micro-batch it would ride in
-        num_nodes = self.engine.graph.num_nodes
-        for arr in (left, right):
-            if arr.min() < 0 or arr.max() >= num_nodes:
-                raise ValueError(
-                    f"node ids must be in [0, {num_nodes}); got "
-                    f"[{int(arr.min())}, {int(arr.max())}]"
-                )
-        if not np.isfinite(times).all():
-            raise ValueError("query times must be finite")
+        check_request(self.engine.graph.num_nodes, left, right, times)
         with self._lock:
             now = self.clock()
             result = PendingResult(self, submitted_at=now)

@@ -18,7 +18,7 @@ cluster held at the same model version:
   with one engineered straggler replica (its batcher deadline inflated),
   hedging off then on, and the tail must shrink;
 * **process stage** — the same loop over a
-  :class:`~repro.runtime.serving.ProcessServingCluster`, plus one replica
+  :class:`~repro.runtime.serving.ProcessFleet`, plus one replica
   SIGKILLed mid-burst: recovery replays the outstanding requests and the
   byte-comparison keeps holding.
 
@@ -76,11 +76,8 @@ def _reference_cluster(base_dir: Path, cfg) -> tuple:
 
 
 def _replica_index(handle) -> int:
-    """Which replica served this request (either cluster kind)."""
-    link = getattr(handle, "_link", None)     # process-cluster result
-    if link is not None:
-        return link.index
-    return handle._primary_index              # threaded front door
+    """Which replica served this request (either fleet)."""
+    return handle._primary_index
 
 
 def _check_burst(handles, ref_cluster, queries, timeout: float) -> int:

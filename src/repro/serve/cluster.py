@@ -1,39 +1,57 @@
-"""Replicated serving: k memory-parallel engine copies behind one front door.
+"""Replicated serving: one front door over a fleet of k replicas.
 
-DistTGL's §3.2.3 memory parallelism keeps ``k`` independent copies of the
-node memory so ``k`` trainers can proceed without serializing on one state.
-The same idea builds the serving side: a :class:`ServingCluster` keeps ``k``
-:class:`ServingReplica`\\ s, each a full :class:`InferenceEngine` (own node
-memory + mailbox + micro-batcher) over the **shared** trained model and
-temporal graph.
+DistTGL's §3.2.3 memory parallelism keeps ``k`` copies (or ``k`` readers) of
+the node memory so ``k`` workers proceed without serializing on one state.
+:class:`ServingCluster` applies it to reads.  Everything a client touches
+lives here **once** — routing, admission, hedging, the WAL, elasticity, hot
+swap, snapshots, accounting — over a small *fleet* that owns only what
+threads and processes genuinely do differently:
 
-* **writes** (the event stream) are broadcast — every replica folds every
-  event into its memory, so all copies stay bitwise-consistent and any
-  replica can answer any read;
-* **reads** (rank/predict queries) are routed to one replica, round-robin
-  or least-loaded, multiplying the queueing capacity by ``k``;
-* **admission control** sheds requests once the cluster-wide queue exceeds
-  a limit — or, with a ``deadline`` budget configured, sheds exactly the
-  requests whose budget the routed replica cannot meet (deadline-aware
-  shedding), keeping tail latency bounded under overload;
-* **hedging** duplicates a request onto a second replica once it has been
-  in flight longer than a configurable latency quantile; the first result
-  wins and the loser is cancelled *before* it reaches the engine, so a
-  straggling replica cannot drag the tail.  Hedged and unhedged paths are
-  bitwise-identical because micro-batch composition never changes scores
-  (dedup computes each unique (node, time) once either way);
-* **elasticity** — :meth:`add_replica` seeds a new engine copy bitwise
-  from an existing replica and :meth:`remove_replica` drains the newest
-  one, so a :class:`repro.serve.ReplicaAutoscaler` can grow/shrink the
-  fleet under live traffic;
-* **hot swap** — :meth:`hot_swap` loads new model/decoder weights into the
-  shared parameters in place (serving memory carries across), the
-  train-while-serve path of :class:`repro.serve.ContinualLearner`.
+* :class:`ThreadFleet` (this module, the default) — ``k`` in-thread
+  :class:`ServingReplica`\\ s, each a full :class:`InferenceEngine` (private
+  node memory + mailbox + micro-batcher) over the **shared** model and
+  graph.  Every replica folds every event, so all copies stay
+  bitwise-consistent; one lock serializes the shared model's compute, so
+  the fan-out buys queueing/batching structure and state redundancy, not
+  FLOPs — the role the ``k`` memory copies play in the paper, where the
+  compute lives on separate GPUs.
+* :class:`repro.runtime.serving.ProcessFleet` — ``k`` worker processes with
+  private model copies over **one** shared-memory state, folded once.
 
-The replicas share one model, so replica fan-out here buys queueing/batching
-structure and state redundancy, not extra FLOPs — exactly the role the
-``k`` memory copies play in the paper, where the compute lives on separate
-GPUs.
+A fleet starts and retires replicas, advances their state by one event
+batch, delivers new weights, exposes state for snapshots and heals itself;
+a replica exposes ``index`` / ``load`` / ``estimate_wait()`` /
+``submit(kind, payload, deadline) -> handle`` / ``poll()`` / ``flush()``,
+and a handle ``done`` / ``_value`` / ``_error`` / ``cancelled`` /
+``completed_at`` / ``cancel()``.  On top of that surface the front door
+gives both fleets:
+
+* **writes** — :meth:`~ServingCluster.ingest` validates a batch, appends
+  it to the WAL, has the fleet fold it, then appends it to the graph;
+* **reads** — rank/predict queries are validated, then routed to one
+  replica (round-robin, least-loaded, or any registered router).  Only the
+  routing *decision* runs under the front-door lock: the submit itself may
+  size-trigger a full model forward, and holding the lock through that
+  would stall every other replica's front door;
+* **admission control** — requests are shed once the cluster-wide queue
+  exceeds a limit, or, with a ``deadline`` budget, exactly when the routed
+  replica cannot meet it (refusing beats queueing work that will expire);
+* **hedging** — a request in flight longer than a latency quantile is
+  duplicated onto a second replica; the first result wins and the loser is
+  cancelled *before* it reaches an engine.  Hedged and unhedged answers
+  are bitwise-identical because micro-batch composition is the only
+  arithmetic variable and a singleton is a singleton on any replica (dedup
+  computes each unique (node, time) once either way; a deadline flush that
+  splits a batch differently can move scores by an ulp on either fleet —
+  a property of deadline batching, not of the topology);
+* **elasticity** — :meth:`~ServingCluster.add_replica` /
+  :meth:`~ServingCluster.remove_replica` grow and shrink the fleet under
+  live traffic (a :class:`repro.serve.ReplicaAutoscaler` drives them);
+* **hot swap** — :meth:`~ServingCluster.hot_swap` flushes queued work
+  against the old weights, then loads new ones; serving state carries
+  across (the :class:`repro.serve.ContinualLearner` path);
+* **snapshots** — :meth:`~ServingCluster.save` / ``restore`` through the
+  one format in :mod:`repro.serve.ingest`, interchangeable across fleets.
 """
 
 from __future__ import annotations
@@ -51,8 +69,14 @@ from ..infer.engine import InferenceEngine, InferenceStats
 from ..models.decoders import LinkPredictor
 from ..models.tgn import TGN
 from ..obs import get_registry, span
-from .batcher import DeadlineExceeded, MicroBatcher, PendingResult
-from .ingest import EventLog, StreamIngestor, load_snapshot, save_snapshot
+from .batcher import DeadlineExceeded, MicroBatcher, PendingResult, check_request
+from .ingest import (
+    EventLog,
+    load_state,
+    read_snapshot,
+    state_arrays,
+    write_snapshot,
+)
 from .metrics import LatencyHistogram
 
 ROUTING_POLICIES = ("round_robin", "least_loaded")
@@ -60,7 +84,7 @@ ROUTING_POLICIES = ("round_robin", "least_loaded")
 
 @dataclass
 class ClusterStats:
-    """Front-door accounting (admission + routing + hedging)."""
+    """Front-door accounting (admission + routing + hedging + stream)."""
 
     submitted: int = 0
     shed: int = 0
@@ -69,7 +93,9 @@ class ClusterStats:
     expired: int = 0         # admitted but deadline ran out in the queue
     hedged: int = 0          # requests that dispatched a duplicate
     hedge_wins: int = 0      # hedges whose duplicate finished first
-    routed: List[int] = field(default_factory=list)  # requests per replica
+    ingested_events: int = 0
+    recoveries: int = 0      # dead replicas respawned (process fleets)
+    routed: List[int] = field(default_factory=list)  # requests per live replica
 
     @property
     def admitted(self) -> int:
@@ -80,32 +106,35 @@ class FrontRequest:
     """Front-door handle over one admitted request (plus its hedge, if any).
 
     Mirrors the :class:`PendingResult` surface (``done`` / ``value`` /
-    ``wait`` / ``latency``) so callers are agnostic to hedging.  ``wait``
-    drives :meth:`ServingCluster.poll`, which both meets batcher deadlines
-    and dispatches hedges — a fleet of blocked clients keeps the whole
-    front door making progress.
+    ``wait`` / ``latency``) so callers are agnostic to hedging and to the
+    fleet.  ``wait`` drives :meth:`ServingCluster.poll`, which meets batcher
+    deadlines, pumps and heals process replicas, and dispatches hedges — a
+    fleet of blocked clients keeps the whole front door making progress.
     """
 
     __slots__ = (
-        "_cluster", "_event", "_dispatch", "_primary", "_primary_index",
-        "_hedge", "_hedge_index", "_value", "_error", "_settled",
+        "_cluster", "_event", "_kind", "_payload", "_primary", "_primary_rep",
+        "_hedge", "_hedge_rep", "_value", "_error", "_settled",
         "submitted_at", "completed_at", "deadline", "hedged", "hedge_won",
     )
 
     def __init__(
         self,
         cluster: "ServingCluster",
-        dispatch: Callable[["ServingReplica"], PendingResult],
+        kind: str,
+        payload: tuple,
         submitted_at: float,
         deadline: Optional[float],
+        replica,
     ) -> None:
         self._cluster = cluster
         self._event = threading.Event()
-        self._dispatch = dispatch
-        self._primary: Optional[PendingResult] = None
-        self._primary_index = -1
-        self._hedge: Optional[PendingResult] = None
-        self._hedge_index = -1
+        self._kind = kind
+        self._payload = payload
+        self._primary = None   # replica handle, set once dispatched
+        self._primary_rep = replica
+        self._hedge = None
+        self._hedge_rep = None
         self._value: Optional[np.ndarray] = None
         self._error: Optional[BaseException] = None
         self._settled = False
@@ -116,6 +145,14 @@ class FrontRequest:
         self.hedge_won = False
 
     # ------------------------------------------------------------- inspect
+    @property
+    def _primary_index(self) -> int:
+        return self._primary_rep.index
+
+    @property
+    def _hedge_index(self) -> int:
+        return -1 if self._hedge_rep is None else self._hedge_rep.index
+
     @property
     def done(self) -> bool:
         return self._try_settle()
@@ -185,8 +222,27 @@ class FrontRequest:
         return True
 
 
+def replica_stats(index: int, engine: InferenceEngine, batcher: MicroBatcher) -> dict:
+    """One replica's engine/batcher counters as a flat dict — what
+    :meth:`ServingCluster.worker_stats` returns per replica on either fleet
+    (a process replica sends exactly this in its ``stats_ack`` frame)."""
+    s, b = engine.stats, batcher.stats
+    return {
+        "rank": index,
+        "requests": b.requests,
+        "queries": s.queries,
+        "unique_queries": s.unique_queries,
+        "time_encodings_requested": s.time_encodings_requested,
+        "time_encodings_computed": s.time_encodings_computed,
+        "flushes": b.flushes,
+        "mean_batch_pairs": b.mean_batch_pairs,
+        "cancelled": b.cancelled,
+        "expired": b.expired,
+    }
+
+
 class ServingReplica:
-    """One engine copy plus its micro-batcher."""
+    """One in-thread engine copy plus its micro-batcher."""
 
     def __init__(
         self,
@@ -214,8 +270,119 @@ class ServingReplica:
         """Queued (unflushed) requests on this replica."""
         return self.batcher.pending_requests
 
+    def estimate_wait(self) -> float:
+        return self.batcher.estimate_wait()
+
+    def poll(self) -> int:
+        return self.batcher.poll()
+
+    def flush(self) -> int:
+        return self.batcher.flush()
+
+    def submit(self, kind: str, payload: tuple, deadline: Optional[float]) -> PendingResult:
+        """Queue one validated request (``deadline`` is absolute, on the
+        cluster clock the batcher shares)."""
+        if kind == "rank":
+            return self.batcher.submit_rank(*payload, deadline=deadline)
+        return self.batcher.submit_predict(*payload, deadline=deadline)
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"ServingReplica(index={self.index}, load={self.load})"
+
+
+class ThreadFleet:
+    """``k`` in-thread replicas: private state copies, one shared model.
+
+    The fleet interface (shared with :class:`repro.runtime.serving.ProcessFleet`):
+    ``lock`` serializes every state mutation; ``spawn()`` returns a replica
+    seeded to the live state (the front door lists it); ``retire(rep)``
+    releases a drained one; ``fold`` advances state by one event batch
+    (``state=False``: structure only — a restore copies state directly);
+    ``swap`` delivers weights; ``states()`` / ``load_states()`` expose state
+    to snapshots; ``flush(reps)`` force-flushes; ``worker_stats()`` and
+    ``close()``.  Threads cannot die, so there is nothing to recover.
+    """
+
+    def __init__(self, cluster: "ServingCluster", k: int) -> None:
+        self.cluster = cluster
+        # also handed to every batcher: the replicas share one model, so
+        # concurrent flushes must not interleave its compute
+        self.lock = threading.RLock()
+        # one sampler shared by all replicas: the CSR cache is rebuilt once
+        # per graph append, not once per replica
+        self._sampler = RecentNeighborSampler(
+            cluster.graph, k=cluster.model.config.num_neighbors
+        )
+        self.replicas: List[ServingReplica] = []
+        for _ in range(k):
+            self.replicas.append(self.spawn())
+
+    def spawn(self) -> ServingReplica:
+        cluster, opts = self.cluster, self.cluster.replica_opts
+        engine = InferenceEngine(
+            cluster.model,
+            cluster.graph,
+            decoder=cluster.decoder,
+            sampler=self._sampler,
+            dedup=opts["dedup"],
+            memoize_time=opts["memoize_time"],
+            append_on_observe=False,  # the front door appends exactly once
+        )
+        if self.replicas:
+            # replaying the WAL from zero would rebuild the same state, but
+            # the WAL may already be truncated — the running replicas *are*
+            # the state, so copy one (bitwise-identical by construction)
+            live = self.replicas[0].engine
+            load_state(
+                engine.memory, engine.mailbox,
+                state_arrays(live.memory, live.mailbox),
+            )
+        return ServingReplica(
+            len(self.replicas),
+            engine,
+            opts["max_batch_pairs"],
+            opts["max_delay"],
+            cluster.clock,
+            self.lock,
+            histogram_cap=opts["histogram_cap"],
+        )
+
+    def retire(self, replica: ServingReplica) -> None:
+        """Nothing to release: a drained engine copy is just garbage."""
+
+    def fold(self, src, dst, times, feats, *, state: bool = True) -> None:
+        if state:
+            for rep in self.replicas:
+                rep.engine.observe(src, dst, times, edge_feats=feats)
+
+    def swap(self, model_blob: bytes, decoder_blob: Optional[bytes], version: int) -> None:
+        # ``from_bytes`` overwrites the shared parameter arrays in place
+        # (compiled serving tapes read weights by reference, so they stay
+        # valid); every engine then rebuilds its precomputed static projection
+        self.cluster.model.from_bytes(model_blob)
+        if decoder_blob is not None:
+            self.cluster.decoder.from_bytes(decoder_blob)
+        for rep in self.replicas:
+            rep.engine.refresh_weights()
+
+    def states(self) -> list:
+        return [(rep.engine.memory, rep.engine.mailbox) for rep in self.replicas]
+
+    def load_states(self, replica_arrays: List[dict]) -> None:
+        for rep, arrays in zip(self.replicas, replica_arrays):
+            load_state(rep.engine.memory, rep.engine.mailbox, arrays)
+
+    def flush(self, replicas: List[ServingReplica]) -> int:
+        return sum(rep.flush() for rep in replicas)
+
+    def worker_stats(self) -> List[dict]:
+        return [
+            replica_stats(rep.index, rep.engine, rep.batcher)
+            for rep in self.replicas
+        ]
+
+    def close(self) -> None:
+        """No processes, no segments: nothing to release."""
 
 
 class ServingCluster:
@@ -229,6 +396,12 @@ class ServingCluster:
         decoder.
     k:
         Number of memory-parallel serving replicas (paper §3.2.3).
+    fleet:
+        ``(cluster, k) -> fleet`` factory; default :class:`ThreadFleet`.
+        ``Session.serve(process_replicas=True)`` passes a
+        :class:`repro.runtime.serving.ProcessFleet` — then use the cluster
+        as a context manager (or call :meth:`shutdown`): the replicas are
+        real processes and their shared segment must be unlinked.
     policy:
         ``'round_robin'``, ``'least_loaded'``, or any routing key added via
         :func:`repro.api.register_router`.
@@ -237,11 +410,12 @@ class ServingCluster:
         are shed (return ``None``) and counted in ``stats.shed``.
         ``None`` disables shedding.
     max_batch_pairs / max_delay / clock:
-        Per-replica micro-batcher tuning (see :class:`MicroBatcher`).
+        Per-replica micro-batcher tuning (see :class:`MicroBatcher`);
+        ``clock`` is the front-door clock (latency, deadlines, hedge delay).
     histogram_cap:
-        Reservoir cap for each replica's latency histogram (bounds the
-        per-replica sample memory under sustained traffic; ``None`` keeps
-        the :mod:`repro.obs.metrics` default).
+        Reservoir cap for the latency histograms (bounds sample memory
+        under sustained traffic; ``None`` keeps the :mod:`repro.obs.metrics`
+        default).
     deadline:
         Default per-request completion budget in seconds.  A request is
         shed at admission when the routed replica's estimated wait already
@@ -270,6 +444,7 @@ class ServingCluster:
         decoder: LinkPredictor,
         k: int = 2,
         *,
+        fleet: Optional[Callable] = None,
         policy: str = "round_robin",
         admission_limit: Optional[int] = None,
         max_batch_pairs: int = 256,
@@ -312,56 +487,28 @@ class ServingCluster:
         self.auto_truncate_wal = auto_truncate_wal
         self.clock = clock
         self.model_version = 0
-        self._dedup = dedup
-        self._memoize_time = memoize_time
-        self._max_batch_pairs = max_batch_pairs
-        self._max_delay = max_delay
-        self._histogram_cap = histogram_cap
+        self.replica_opts = {
+            "max_batch_pairs": max_batch_pairs,
+            "max_delay": max_delay,
+            "dedup": dedup,
+            "memoize_time": memoize_time,
+            "histogram_cap": histogram_cap,
+        }
         self._lock = threading.RLock()          # front door (routing + shed)
-        self._engine_lock = threading.RLock()   # serializes shared-model compute
         self._rr = 0
+        self._closed = False
         self._inflight: List[FrontRequest] = []
-        self._draining: List[ServingReplica] = []  # removed, not yet empty
+        self._draining: list = []   # retired replicas a request may still reach
         self._wal_cursors: Dict[str, int] = {}
         self.request_latency = (
             LatencyHistogram(cap=histogram_cap)
             if histogram_cap is not None
             else LatencyHistogram()
         )
-
-        # one sampler shared by all replicas: the CSR cache is rebuilt once
-        # per graph append, not once per replica
-        self._sampler = RecentNeighborSampler(graph, k=model.config.num_neighbors)
-        self.replicas: List[ServingReplica] = []
-        for _ in range(k):
-            self._build_replica()
         self.wal = EventLog(edge_dim=graph.edge_dim)
-        self.ingestor = StreamIngestor(
-            graph, [rep.engine for rep in self.replicas], wal=self.wal
-        )
         self.stats = ClusterStats(routed=[0] * k)
-
-    def _build_replica(self) -> ServingReplica:
-        engine = InferenceEngine(
-            self.model,
-            self.graph,
-            decoder=self.decoder,
-            sampler=self._sampler,
-            dedup=self._dedup,
-            memoize_time=self._memoize_time,
-            append_on_observe=False,  # the ingestor appends exactly once
-        )
-        rep = ServingReplica(
-            len(self.replicas),
-            engine,
-            self._max_batch_pairs,
-            self._max_delay,
-            self.clock,
-            self._engine_lock,
-            histogram_cap=self._histogram_cap,
-        )
-        self.replicas.append(rep)
-        return rep
+        self._fleet = (fleet or ThreadFleet)(self, k)
+        self.replicas = self._fleet.replicas
 
     # ---------------------------------------------------------------- writes
     def ingest(
@@ -371,11 +518,29 @@ class ServingCluster:
         times: np.ndarray,
         edge_feats: Optional[np.ndarray] = None,
     ) -> int:
-        """Broadcast one chronological event batch to every replica and the
+        """Broadcast one chronological event batch to the fleet and the
         graph (through the WAL); returns the WAL offset."""
+        self._ensure_open()
         with span("ingest", events=int(len(src)), replicas=len(self.replicas)):
-            with self._engine_lock:
-                offset = self.ingestor.ingest(src, dst, times, edge_feats)
+            with self._fleet.lock:
+                # validate BEFORE mutating anything: a bad batch (unknown
+                # node id, mis-shaped features) must fail atomically, not
+                # leave the WAL, replica state and graph disagreeing
+                src, dst, times, edge_feats = self.graph.check_events(
+                    src, dst, times, edge_feats
+                )
+                if self.graph.edge_feats is not None and edge_feats is None:
+                    # uniform zero-fill: WAL and graph pad missing features
+                    # anyway, and the mailboxes require a feature payload
+                    edge_feats = np.zeros(
+                        (len(src), self.graph.edge_dim), dtype=np.float32
+                    )
+                offset = self.wal.append(src, dst, times, edge_feats)
+                self._fleet.fold(src, dst, times, edge_feats)
+                # exactly one graph append per batch, however many replicas
+                # consumed it (appending k times would duplicate edges)
+                self.graph.append_events(src, dst, times, edge_feats)
+                self.stats.ingested_events += len(src)
         registry = get_registry()
         registry.counter("serve/ingested_events").add(float(len(src)))
         registry.counter("serve/ingest_batches").add()
@@ -423,13 +588,12 @@ class ServingCluster:
         deadline: Optional[float] = None,
     ) -> Optional[FrontRequest]:
         """Route a ranking query; ``None`` means it was load-shed."""
+        src, at_time = int(src), float(at_time)
         candidates = np.asarray(candidates, dtype=np.int64)
-        return self._route(
-            lambda rep, dl: rep.batcher.submit_rank(
-                src, candidates, at_time, deadline=dl
-            ),
-            deadline,
+        check_request(
+            self.graph.num_nodes, np.asarray([src]), candidates, np.asarray([at_time])
         )
+        return self._route("rank", (src, candidates, at_time), deadline)
 
     def submit_predict(
         self, src: np.ndarray, dst: np.ndarray, times: np.ndarray,
@@ -439,16 +603,19 @@ class ServingCluster:
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
-        return self._route(
-            lambda rep, dl: rep.batcher.submit_predict(src, dst, times, deadline=dl),
-            deadline,
-        )
+        if not (len(src) == len(dst) == len(times)):
+            raise ValueError("src, dst, times must align")
+        check_request(self.graph.num_nodes, src, dst, times)
+        return self._route("predict", (src, dst, times), deadline)
 
-    def _route(self, submit, deadline: Optional[float]) -> Optional[FrontRequest]:
-        # only the routing/admission *decision* runs under the front-door
-        # lock; the submit itself happens outside it because a size-triggered
-        # flush runs a full model forward, and holding the cluster lock
-        # through that would stall every other replica's front door
+    def _route(
+        self, kind: str, payload: tuple, deadline: Optional[float]
+    ) -> Optional[FrontRequest]:
+        # The request is already validated (a malformed one raised in the
+        # caller and never reaches a replica).  Only the routing/admission
+        # *decision* runs under the front-door lock; the submit itself
+        # happens outside it (see the module docstring).
+        self._ensure_open()
         registry = get_registry()
         now = self.clock()
         if deadline is None and self.deadline is not None:
@@ -464,7 +631,7 @@ class ServingCluster:
                 registry.counter("serve/shed").add()
                 return None
             replica = self._router(self)
-            if deadline is not None and now + replica.batcher.estimate_wait() > deadline:
+            if deadline is not None and now + replica.estimate_wait() > deadline:
                 # deadline-aware shedding: the routed replica cannot meet
                 # the budget, so refusing now is strictly better than
                 # queueing work that will expire before it flushes
@@ -474,18 +641,14 @@ class ServingCluster:
                 registry.counter("serve/shed_deadline").add()
                 return None
             self.stats.routed[replica.index] += 1
-            front = FrontRequest(
-                self,
-                lambda rep: submit(rep, deadline),
-                submitted_at=now,
-                deadline=deadline,
-            )
-            front._primary_index = replica.index
+            # listed before the dispatch: from here on a retiring replica
+            # stays on the draining list until this request settles
+            front = FrontRequest(self, kind, payload, now, deadline, replica)
             self._inflight.append(front)
-        front._primary = front._dispatch(replica)
+        front._primary = replica.submit(kind, payload, deadline)
         return front
 
-    def _finish(self, front: FrontRequest, loser: Optional[PendingResult]) -> None:
+    def _finish(self, front: FrontRequest, loser) -> None:
         """Settle-time bookkeeping (called by ``FrontRequest._try_settle``
         under the front-door lock): record latency exactly once, count the
         outcome, cancel the losing hedge lane."""
@@ -522,17 +685,16 @@ class ServingCluster:
                 self.hedge_min_delay,
                 self.request_latency.percentile(self.hedge_quantile),
             )
-        return max(self.hedge_min_delay, self._max_delay)
+        return max(self.hedge_min_delay, self.replica_opts["max_delay"])
 
     def _sweep(self) -> None:
-        """Settle finished front requests and dispatch due hedges."""
+        """Settle finished front requests, dispatch due hedges, release
+        retired replicas nothing can reach any more."""
         with self._lock:
             inflight = list(self._inflight)
-        if not inflight:
-            return
-        now = self.clock()
-        delay = self.hedge_delay()
-        registry = get_registry()
+        if inflight:
+            now = self.clock()
+            delay = self.hedge_delay()
         for front in inflight:
             if front._try_settle():
                 continue
@@ -543,24 +705,45 @@ class ServingCluster:
                 and now - front.submitted_at >= delay
             ):
                 with self._lock:
-                    if front._settled or front._hedge is not None:
+                    if front._settled or front._hedge_rep is not None:
                         continue
                     # least-loaded among the *other* replicas — hedging to
                     # the straggler itself would be pointless
                     others = [
                         rep for rep in self.replicas
-                        if rep.index != front._primary_index
+                        if rep is not front._primary_rep
                     ]
                     if not others:
                         continue
                     target = min(others, key=lambda rep: (rep.load, rep.index))
                     front.hedged = True
-                    front._hedge_index = target.index
+                    front._hedge_rep = target
                     self.stats.hedged += 1
-                    registry.counter("serve/hedged").add()
+                    get_registry().counter("serve/hedged").add()
                 # the duplicate submit runs outside the front-door lock
                 # (it may size-trigger a full flush)
-                front._hedge = front._dispatch(target)
+                front._hedge = target.submit(
+                    front._kind, front._payload, front.deadline
+                )
+        if self._draining:
+            self._release_drained()
+
+    def _release_drained(self) -> None:
+        """Hand retired replicas back to the fleet once they are empty and
+        no in-flight request can still be dispatched to them.  The whole
+        decision runs under the front-door lock, so concurrent pollers
+        release each replica exactly once."""
+        released = []
+        with self._lock:
+            for rep in list(self._draining):
+                if not rep.load and not any(
+                    f._primary_rep is rep or f._hedge_rep is rep
+                    for f in self._inflight
+                ):
+                    self._draining.remove(rep)
+                    released.append(rep)
+        for rep in released:
+            self._fleet.retire(rep)
 
     # ------------------------------------------------------------- batch mgmt
     @property
@@ -568,70 +751,61 @@ class ServingCluster:
         return sum(rep.load for rep in self.replicas)
 
     def poll(self) -> int:
-        """Drive the cluster: batcher deadlines, hedges, settlement.
+        """Drive the cluster: batcher deadlines (threads) / result frames
+        and dead-slot recovery (processes), hedges, settlement.
 
-        Returns the number of batcher requests flushed.
+        Returns the number of requests flushed.
         """
-        flushed = sum(rep.batcher.poll() for rep in self.replicas)
-        for rep in list(self._draining):
-            rep.batcher.flush()
-            self._draining.remove(rep)
+        flushed = sum(rep.poll() for rep in self.replicas)
+        if self._draining:
+            flushed += self._fleet.flush(list(self._draining))
         self._sweep()
         return flushed
 
     def flush_all(self) -> int:
-        """Force-flush every replica (drain at shutdown)."""
-        flushed = sum(rep.batcher.flush() for rep in self.replicas)
-        for rep in list(self._draining):
-            flushed += rep.batcher.flush()
-            self._draining.remove(rep)
+        """Force-flush every replica (drain at shutdown); returns the
+        number of requests flushed."""
+        flushed = self._fleet.flush(self.replicas + self._draining)
         self._sweep()
         return flushed
 
     # -------------------------------------------------------------- elasticity
-    def add_replica(self) -> ServingReplica:
-        """Grow the fleet by one replica, seeded bitwise from replica 0.
-
-        Replaying the WAL from zero would rebuild the same state, but the
-        WAL may already be truncated — the running replicas *are* the
-        state, so the new engine copies memory/mailbox arrays from an
-        existing copy (bitwise-identical by construction) and starts
-        answering immediately.
-        """
-        with self._engine_lock, self._lock:
-            src = self.replicas[0].engine
-            rep = self._build_replica()
-            eng = rep.engine
-            eng.memory.memory[...] = src.memory.memory
-            eng.memory.last_update[...] = src.memory.last_update
-            eng.mailbox.mail[...] = src.mailbox.mail
-            eng.mailbox.mail_time[...] = src.mailbox.mail_time
-            eng.mailbox.has_mail[...] = src.mailbox.has_mail
-            self.ingestor.engines.append(eng)
+    def add_replica(self):
+        """Grow the fleet by one replica, seeded to the live state (a copy
+        of replica 0's arrays, or one more reader of the shared segment) and
+        answering on the current model version immediately."""
+        # front-door lock first, fleet lock second — the order every other
+        # path takes them in (a submit may hold a batcher lock and wait for
+        # the engine lock, never the reverse)
+        with self._lock, self._fleet.lock:
+            rep = self._fleet.spawn()
+            self.replicas.append(rep)
             self.stats.routed.append(0)
         registry = get_registry()
         registry.counter("serve/replicas_added").add()
         registry.gauge("serve/replicas").set(float(len(self.replicas)))
         return rep
 
-    def remove_replica(self) -> ServingReplica:
-        """Shrink the fleet by draining and retiring the newest replica.
+    def remove_replica(self):
+        """Shrink the fleet by retiring the newest replica.
 
-        The retired batcher keeps getting flushed by :meth:`poll` /
-        :meth:`flush_all` until empty, so in-flight work admitted during
-        the scale-down still completes.
+        The retiree leaves the routing list at once but stays on the
+        draining list — still flushed by :meth:`poll` / :meth:`flush_all` —
+        until it is empty and no in-flight request points at it, so work
+        admitted during (or dispatched just after) the scale-down still
+        completes; only then does the fleet release it.
         """
-        with self._engine_lock, self._lock:
+        with self._lock, self._fleet.lock:
             if len(self.replicas) <= 1:
                 raise ValueError("cannot remove the last replica")
             rep = self.replicas.pop()
-            self.ingestor.engines.remove(rep.engine)
-            rep.batcher.flush()
-            if rep.batcher.pending_requests:
-                self._draining.append(rep)
+            self.stats.routed.pop()
+            self._draining.append(rep)
         registry = get_registry()
         registry.counter("serve/replicas_removed").add()
         registry.gauge("serve/replicas").set(float(len(self.replicas)))
+        self._fleet.flush([rep])
+        self._sweep()
         return rep
 
     # --------------------------------------------------------------- hot swap
@@ -644,38 +818,34 @@ class ServingCluster:
     ) -> int:
         """Load new model/decoder weights into the live fleet in place.
 
-        Queued work is flushed against the old weights first, then
-        ``Module.from_bytes`` overwrites the shared parameter arrays (the
-        compiled serving tapes read weights by reference, so they stay
-        valid) and every engine refreshes its precomputed static
-        projection.  Serving memory/mailbox state carries across — a swap
-        changes the *model*, not the streamed history.
+        Queued work is flushed against the old weights first (outside the
+        fleet lock — a flush takes batcher locks, and those come before
+        it), then the fleet delivers the blobs to every replica.  Serving
+        memory/mailbox state carries across — a swap changes the *model*,
+        not the streamed history.
         """
-        with self._engine_lock:
-            self.flush_all()
-            self.model.from_bytes(model_blob)
-            if decoder_blob is not None:
-                self.decoder.from_bytes(decoder_blob)
-            for rep in self.replicas:
-                rep.engine.refresh_weights()
+        self.flush_all()
+        with self._fleet.lock:
             self.model_version = (
                 version if version is not None else self.model_version + 1
             )
+            self._fleet.swap(model_blob, decoder_blob, self.model_version)
         registry = get_registry()
         registry.counter("serve/hot_swaps").add()
         registry.gauge("serve/model_version").set(float(self.model_version))
         return self.model_version
 
     # ------------------------------------------------------------ observability
+    def worker_stats(self) -> List[dict]:
+        """Per-replica engine/batcher counters (see :func:`replica_stats`)."""
+        return self._fleet.worker_stats()
+
     def inference_stats(self) -> InferenceStats:
         """Summed TGOpt redundancy counters across replicas."""
         total = InferenceStats()
-        for rep in self.replicas:
-            s = rep.engine.stats
-            total.queries += s.queries
-            total.unique_queries += s.unique_queries
-            total.time_encodings_requested += s.time_encodings_requested
-            total.time_encodings_computed += s.time_encodings_computed
+        for stats in self.worker_stats():
+            for name in list(vars(total)):
+                setattr(total, name, getattr(total, name) + stats[name])
         return total
 
     def latency(self) -> LatencyHistogram:
@@ -684,20 +854,10 @@ class ServingCluster:
         Recorded exactly once per completed admitted request — hedged
         requests contribute the winning lane only, so the reservoir the
         p50/p99/p99.9 columns and the hedge delay read from never
-        double-counts.  :meth:`replica_latency` keeps the per-batcher view.
+        double-counts.  (Each in-thread replica's batcher keeps its own
+        per-lane view in ``rep.batcher.latency``.)
         """
-        if self.request_latency.count:
-            return self.request_latency
-        # cold front door (e.g. raw batcher access in older callers):
-        # fall back to the per-replica histograms so latency() never lies
-        return self.replica_latency()
-
-    def replica_latency(self) -> LatencyHistogram:
-        """Merged per-replica batcher latency histogram."""
-        merged = LatencyHistogram()
-        for rep in self.replicas:
-            merged.merge(rep.batcher.latency)
-        return merged
+        return self.request_latency
 
     def export_metrics(self) -> dict:
         """Fold cluster state into the shared registry; returns its snapshot.
@@ -719,12 +879,55 @@ class ServingCluster:
 
     # ---------------------------------------------------------------- state
     def save(self, path) -> "Path":
-        """Snapshot serving state (memory + mailbox + WAL) to ``path``."""
-        return save_snapshot(self, path)
+        """Snapshot serving state (memory + mailbox + WAL) to ``path``.
+
+        In-thread replicas write their k private copies, process replicas
+        their one shared state once per slot — byte-identical payloads
+        after the same stream, so either fleet restores the other's file.
+        """
+        with self._fleet.lock:
+            return write_snapshot(
+                path, graph=self.graph, wal=self.wal,
+                replica_states=self._fleet.states(),
+            )
 
     def restore(self, path) -> dict:
-        """Restore a snapshot into this (pristine) cluster."""
-        return load_snapshot(self, path)
+        """Restore a snapshot into this *pristine* cluster (freshly built
+        on the same training-time graph, same replica count, empty WAL);
+        returns the snapshot metadata.  Queries afterwards score
+        identically to the snapshotted cluster."""
+        with self._fleet.lock:
+            meta, batch, replica_arrays = read_snapshot(
+                path, graph=self.graph, wal=self.wal, k=len(self.replicas)
+            )
+            if len(batch[0]):
+                # replay structure only — replica state is restored directly
+                # below, so the events must NOT be re-observed
+                self._fleet.fold(*batch, state=False)
+                self.wal.append(*batch)
+                self.graph.append_events(*batch)
+                self.stats.ingested_events += len(batch[0])
+            self._fleet.load_states(replica_arrays)
+        return meta
+
+    # ------------------------------------------------------------- lifecycle
+    def _ensure_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("serving cluster already shut down")
+
+    def shutdown(self) -> None:
+        """Release the fleet (idempotent): nothing for threads; stop + reap
+        the workers and unlink the shared segment for processes.  Later
+        submits raise ``RuntimeError``."""
+        if not self._closed:
+            self._closed = True
+            self._fleet.close()
+
+    def __enter__(self) -> "ServingCluster":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.shutdown()
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -20,9 +20,9 @@ wants to keep learning from.  :class:`ContinualLearner` closes that loop:
    byte-identical scores on both.  A swapped fleet that drifts from a
    freshly loaded session by even one ulp raises.
 
-The learner is backend-agnostic (threaded ``ServingCluster`` or the
-process ``ProcessServingCluster`` — the snapshot interchange format makes
-step 4 work across kinds) and can run synchronously (:meth:`maybe_refit`
+The learner is fleet-agnostic (a ``ServingCluster`` over in-thread or
+process replicas — the snapshot interchange format makes step 4 work
+across fleets) and can run synchronously (:meth:`maybe_refit`
 between ingest ticks — deterministic, what the closed-loop bench does) or
 from a daemon thread (:meth:`start`), which is the literal
 train-*while*-serve mode: serving keeps answering on the old weights until

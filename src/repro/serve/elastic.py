@@ -16,10 +16,10 @@ shrinks the fleet between ``min_replicas`` and ``max_replicas``:
 * decisions are rate-limited by ``interval`` seconds so one burst cannot
   thrash the fleet.
 
-The controller is backend-agnostic: it only calls ``cluster.add_replica()``
+The controller is fleet-agnostic: it only calls ``cluster.add_replica()``
 / ``cluster.remove_replica()`` and reads ``cluster.pending_requests`` /
-``cluster.latency()``, which both the threaded :class:`ServingCluster` and
-the :class:`repro.runtime.serving.ProcessServingCluster` provide.  Drive it
+``cluster.latency()`` on the one :class:`ServingCluster` front door,
+whichever replica fleet is behind it.  Drive it
 synchronously with :meth:`step` (deterministic tests, the closed-loop
 bench) or let :meth:`start` poll from a daemon thread.
 """

@@ -1,32 +1,32 @@
-"""Streaming graph ingestion: WAL, fan-out to replicas, snapshot/restore.
+"""Serving write path data: the WAL and the snapshot format.
 
-The serving path must keep two things fresh as events stream in:
+An ingested batch keeps two things fresh — **state** (node memory + mailbox
+fold the events in, Eq. 1–2 semantics, no gradients) and **structure** (the
+serving :class:`TemporalGraph` gains the events, so neighbor sampling sees
+post-training edges).  :meth:`repro.serve.ServingCluster.ingest` drives
+both, for either replica fleet; this module holds what it writes to:
 
-* **state** — every replica's node memory + mailbox folds the event in via
-  :meth:`InferenceEngine.observe` (no gradients, Eq. 1–2 semantics);
-* **structure** — the shared :class:`TemporalGraph` gains the event via
-  :meth:`append_events`, so neighbor sampling sees post-training edges
-  (the fresh-neighborhood guarantee).
-
-Every ingested batch is first appended to an in-memory write-ahead log
-(:class:`EventLog`).  The WAL is the source of truth for recovery: a
-snapshot persists each replica's memory/mailbox plus the WAL itself, and a
-restore on a *pristine* cluster (training-time graph, empty WAL) replays the
-WAL into the graph and copies the state arrays back — no re-observation
-needed.  Format follows ``train/checkpoint.py``: one ``.npz`` with
-namespaced keys and a json-encoded ``meta`` blob.
+* :class:`EventLog` — the in-memory write-ahead log every batch is appended
+  to *first*.  It is the source of truth for catch-up and recovery: offsets
+  are stable under truncation and replay preserves batch boundaries.
+* :func:`write_snapshot` / :func:`read_snapshot` — the one snapshot format:
+  each replica's memory/mailbox plus the WAL.  A restore on a *pristine*
+  cluster (training-time graph, empty WAL) replays the WAL into the graph
+  and copies the state arrays back — no re-observation needed.  Format
+  follows ``train/checkpoint.py``: one ``.npz`` with namespaced keys and a
+  json-encoded ``meta`` blob; both fleets write it through the same call,
+  so their files interchange whenever their serving states agree.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..graph.temporal_graph import TemporalGraph
-from ..infer.engine import InferenceEngine
 
 SNAPSHOT_VERSION = 1
 
@@ -182,58 +182,29 @@ class EventLog:
         return self._base
 
 
-class StreamIngestor:
-    """Broadcasts an event stream: WAL -> every replica's state -> graph.
-
-    The graph append happens exactly once per batch regardless of how many
-    replica engines consume the stream (the engines are constructed with
-    ``append_on_observe=False``; appending k times would duplicate edges).
-    """
-
-    def __init__(
-        self,
-        graph: TemporalGraph,
-        engines: Sequence[InferenceEngine],
-        wal: Optional[EventLog] = None,
-        append_to_graph: bool = True,
-    ) -> None:
-        if not engines:
-            raise ValueError("need at least one engine")
-        self.graph = graph
-        self.engines = list(engines)
-        self.wal = wal if wal is not None else EventLog(edge_dim=graph.edge_dim)
-        self.append_to_graph = append_to_graph
-
-    def ingest(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        times: np.ndarray,
-        edge_feats: Optional[np.ndarray] = None,
-    ) -> int:
-        """Fold one chronological event batch into the serving system.
-
-        Returns the WAL offset after the batch (== total events ingested).
-        """
-        # validate BEFORE mutating anything: a bad batch (unknown node id,
-        # mis-shaped features) must fail atomically, not leave the WAL,
-        # replica memories and graph disagreeing about what happened
-        src, dst, times, edge_feats = self.graph.check_events(
-            src, dst, times, edge_feats
-        )
-        if self.graph.edge_feats is not None and edge_feats is None:
-            # uniform zero-fill: WAL and graph pad missing features anyway,
-            # and the replicas' mailboxes require a feature payload
-            edge_feats = np.zeros((len(src), self.graph.edge_dim), dtype=np.float32)
-        offset = self.wal.append(src, dst, times, edge_feats)
-        for engine in self.engines:
-            engine.observe(src, dst, times, edge_feats=edge_feats)
-        if self.append_to_graph:
-            self.graph.append_events(src, dst, times, edge_feats)
-        return offset
-
-
 # --------------------------------------------------------------- snapshots
+_STATE_NAMES = ("memory", "last_update", "mail", "mail_time", "has_mail")
+
+
+def state_arrays(memory, mailbox) -> Dict[str, np.ndarray]:
+    """The five arrays that *are* one replica's serving state, by name."""
+    return dict(
+        zip(
+            _STATE_NAMES,
+            (
+                memory.memory, memory.last_update,
+                mailbox.mail, mailbox.mail_time, mailbox.has_mail,
+            ),
+        )
+    )
+
+
+def load_state(memory, mailbox, arrays: Dict[str, np.ndarray]) -> None:
+    """Overwrite a replica's serving state in place (seeding, restore)."""
+    for name, target in state_arrays(memory, mailbox).items():
+        target[...] = arrays[name]
+
+
 def write_snapshot(
     path: Union[str, Path],
     *,
@@ -244,10 +215,10 @@ def write_snapshot(
     """Write the common snapshot format: metadata + WAL + per-replica
     (memory, mailbox) arrays.
 
-    Both cluster kinds serialize through here — the threaded cluster with
-    each replica engine's private state, the process cluster with its one
-    shared state repeated per replica — so their snapshot files are
-    interchangeable whenever their serving states agree.
+    Both fleets serialize through here — in-thread replicas with each
+    engine's private state, process replicas with their one shared state
+    repeated per replica — so their snapshot files are interchangeable
+    whenever their serving states agree.
     """
     path = Path(path)
     arrays = {}
@@ -286,12 +257,8 @@ def write_snapshot(
         arrays["wal/edge_feats"] = feats
 
     for r, (memory, mailbox) in enumerate(replica_states):
-        p = f"replica{r}"
-        arrays[f"{p}/memory"] = memory.memory
-        arrays[f"{p}/last_update"] = memory.last_update
-        arrays[f"{p}/mail"] = mailbox.mail
-        arrays[f"{p}/mail_time"] = mailbox.mail_time
-        arrays[f"{p}/has_mail"] = mailbox.has_mail
+        for name, array in state_arrays(memory, mailbox).items():
+            arrays[f"replica{r}/{name}"] = array
 
     np.savez_compressed(path, **arrays)
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
@@ -329,62 +296,8 @@ def read_snapshot(
 
     src, dst, times = data["wal/src"], data["wal/dst"], data["wal/time"]
     feats = data["wal/edge_feats"] if "wal/edge_feats" in data else None
-    replica_arrays = []
-    for r in range(k):
-        p = f"replica{r}"
-        replica_arrays.append(
-            {
-                "memory": data[f"{p}/memory"],
-                "last_update": data[f"{p}/last_update"],
-                "mail": data[f"{p}/mail"],
-                "mail_time": data[f"{p}/mail_time"],
-                "has_mail": data[f"{p}/has_mail"],
-            }
-        )
+    replica_arrays = [
+        {name: data[f"replica{r}/{name}"] for name in _STATE_NAMES}
+        for r in range(k)
+    ]
     return meta, (src, dst, times, feats), replica_arrays
-
-
-def save_snapshot(cluster, path: Union[str, Path]) -> Path:
-    """Persist a :class:`ServingCluster`'s full serving state to ``path``.
-
-    Captures per-replica memory + mailbox, the WAL (events ingested since
-    the cluster was built on its training-time graph), and enough metadata
-    to validate a restore target.
-    """
-    return write_snapshot(
-        path,
-        graph=cluster.graph,
-        wal=cluster.wal,
-        replica_states=[
-            (replica.engine.memory, replica.engine.mailbox)
-            for replica in cluster.replicas
-        ],
-    )
-
-
-def load_snapshot(cluster, path: Union[str, Path]) -> dict:
-    """Restore a snapshot into a *pristine* cluster; returns the metadata.
-
-    The target must be freshly built on the same training-time graph (same
-    event count, node universe, edge dim; empty WAL) with the same replica
-    count.  The WAL is replayed into the graph so samplers regain the
-    post-training edges, and state arrays are copied back verbatim — the
-    restored cluster answers queries identically to the snapshotted one.
-    """
-    meta, (src, dst, times, feats), replica_arrays = read_snapshot(
-        path, graph=cluster.graph, wal=cluster.wal, k=len(cluster.replicas)
-    )
-    if len(src):
-        # replay structure only — replica state is restored directly below,
-        # so the events must NOT be re-observed
-        cluster.wal.append(src, dst, times, feats)
-        cluster.graph.append_events(src, dst, times, feats)
-
-    for replica, arrays in zip(cluster.replicas, replica_arrays):
-        eng = replica.engine
-        eng.memory.memory[...] = arrays["memory"]
-        eng.memory.last_update[...] = arrays["last_update"]
-        eng.mailbox.mail[...] = arrays["mail"]
-        eng.mailbox.mail_time[...] = arrays["mail_time"]
-        eng.mailbox.has_mail[...] = arrays["has_mail"]
-    return meta

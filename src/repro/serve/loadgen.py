@@ -207,7 +207,7 @@ def run_load(
         routed=list(cluster.stats.routed),
         p999=lat.percentile(99.9),
         hedge_rate=(
-            getattr(cluster.stats, "hedged", 0)
+            cluster.stats.hedged
             / max(1, cluster.stats.submitted - cluster.stats.shed)
         ),
     )

@@ -394,7 +394,7 @@ def differential_chaos_serve(
 
     ``faults`` arms ``serve.replica`` failpoints (e.g.
     ``{"serve.replica:2": ("crash", 1)}`` SIGKILLs replica 1 on its second
-    request) around a :class:`~repro.runtime.serving.ProcessServingCluster`
+    request) around a :class:`~repro.runtime.serving.ProcessFleet`-backed
     run that interleaves ingest batches with ranking queries.  A killed
     replica is respawned, caught up from the graph tail, and its
     outstanding requests replayed — so every response must still match the

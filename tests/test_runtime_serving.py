@@ -1,11 +1,12 @@
-"""Process-replica serving: bit-identical to the threaded cluster.
+"""Process-replica serving: bit-identical to in-thread replicas.
 
-One trained session, two clusters — the threaded ``ServingCluster`` and the
-``repro.runtime`` process cluster (worker processes with private model
-copies over one shared node-memory segment).  The same request + ingest
-sequence must produce byte-for-byte identical scores, because the process
-replicas fold the stream once into shared state while the threaded replicas
-each fold it privately — same arithmetic, different topology.
+One trained session, one ``ServingCluster`` front door, two fleets — k
+in-thread replicas and the ``repro.runtime`` process fleet (worker processes
+with private model copies over one shared node-memory segment).  The same
+request + ingest sequence must produce byte-for-byte identical scores,
+because the process replicas fold the stream once into shared state while
+the in-thread replicas each fold it privately — same arithmetic, different
+topology — and the same front-door accounting, because there is one.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.api.config import (
     TrainConfig,
 )
 from repro.api.session import Session
+from repro.obs import get_registry, reset_registry
 
 
 @pytest.fixture(scope="module")
@@ -124,9 +126,90 @@ class TestBitIdenticalServing:
             proc.submit_rank(0, np.array([1, 2]), 1.0)
 
 
+class TestFrontDoorParity:
+    """What the front door does *around* the replicas is fleet-independent."""
+
+    @pytest.mark.parametrize("process_replicas", [False, True])
+    def test_malformed_request_raises_and_kills_nothing(
+        self, fitted_session, process_replicas
+    ):
+        """A bad request is the caller's ``ValueError`` on either fleet —
+        it never reaches a replica (a worker that unwound on it would be
+        respawned and handed the same poison request again)."""
+        with fitted_session.serve(
+            replicas=2, process_replicas=process_replicas
+        ) as cluster:
+            t = float(cluster.graph.timestamps[-1])
+            with pytest.raises(ValueError, match="node ids"):
+                cluster.submit_rank(0, np.array([10 ** 9]), t)
+            with pytest.raises(ValueError, match="empty"):
+                cluster.submit_rank(0, np.array([], dtype=np.int64), t)
+            with pytest.raises(ValueError, match="finite"):
+                cluster.submit_rank(0, np.array([1, 2]), float("nan"))
+            with pytest.raises(ValueError, match="align"):
+                cluster.submit_predict([1, 2], [3], [t, t])
+            assert cluster.stats.submitted == 0 and cluster.pending_requests == 0
+            good = cluster.submit_rank(0, np.array([1, 2, 3]), t)
+            cluster.flush_all()
+            assert np.all(np.isfinite(good.wait(30.0)))
+            assert cluster.stats.recoveries == 0
+
+    def test_worker_answers_a_bad_frame_instead_of_unwinding(self, fitted_session):
+        """Defense in depth: a request-level ``ValueError`` raised *inside*
+        a worker comes back typed in a ``req_error`` frame; the worker
+        lives on."""
+        with fitted_session.serve(replicas=1, process_replicas=True) as cluster:
+            replica = cluster.replicas[0]
+            bad = replica.submit("rank", (0, np.array([10 ** 9]), 1.0), None)
+            replica.flush()
+            assert bad.done and isinstance(bad._error, ValueError)
+            assert "node ids" in str(bad._error)
+            assert replica.proc.is_alive() and cluster.stats.recoveries == 0
+
+    def test_serve_counters_match_across_fleets(self, fitted_session):
+        """The same 6-request + 1-ingest schedule leaves the same
+        ``serve/*`` counters behind on either fleet, and ``poll()`` /
+        ``flush_all()`` report flushed counts on both."""
+        sess = fitted_session
+        batch = next(iter(sess.held_out_stream(chunk=40)))
+
+        def run(process_replicas):
+            reset_registry()
+            with sess.serve(
+                replicas=2, process_replicas=process_replicas,
+                max_delay_ms=10_000.0, admission_limit=4,
+            ) as cluster:
+                plan = request_plan(cluster.graph, n_requests=6)
+                handles = [cluster.submit_rank(*req) for req in plan[:5]]
+                assert [h is None for h in handles] == [False] * 4 + [True]
+                assert cluster.poll() == 0          # nothing is due yet
+                assert cluster.flush_all() == 4
+                cluster.ingest(*batch)
+                handles.append(cluster.submit_rank(*plan[5]))
+                assert cluster.flush_all() == 1
+                for handle in handles:
+                    if handle is not None:
+                        handle.wait(30.0)
+                stats = cluster.stats
+            snapshot = get_registry().snapshot()
+            counters = {
+                name: entry["value"] for name, entry in snapshot.items()
+                if name.startswith("serve/") and entry.get("type") == "counter"
+            }
+            return counters, stats
+
+        t_counters, t_stats = run(False)
+        p_counters, p_stats = run(True)
+        p_counters.pop("serve/replica_recoveries", None)
+        assert t_counters == p_counters
+        assert t_counters["serve/submitted"] == 6 and t_counters["serve/shed"] == 1
+        assert t_counters["serve/completed"] == 5
+        assert t_stats == p_stats
+
+
 class TestSnapshotParity:
-    """``ProcessServingCluster.save()/restore()`` — format and behavior
-    parity with the threaded cluster, including cross-kind restores."""
+    """``save()/restore()`` over a process fleet — format and behavior
+    parity with in-thread replicas, including cross-fleet restores."""
 
     def _ingest_stream(self, sess, cluster, chunks=3):
         for batch in list(sess.held_out_stream(chunk=40))[:chunks]:

@@ -5,25 +5,64 @@ Scaling and hedging both touch the bitwise-serving contract: a replica
 added mid-flight must answer exactly like the fleet it joined, and a hedge
 must return byte-identical scores to the unhedged path (both sides flush
 singleton batches here, pinning micro-batch composition).  Everything runs
-on a fake clock — no sleeps, no wall-clock races.
+on a fake front-door clock — no sleeps, no wall-clock races — and the
+hedge / deadline / scale-cycling cases run on both replica fleets (in-thread
+and process), because the front door that implements them is one class.
 """
 
+import threading
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.serve import ReplicaAutoscaler, ServingCluster, event_stream
+from repro import (
+    DataConfig,
+    ExperimentConfig,
+    ModelConfig,
+    ServeConfig,
+    Session,
+    TrainConfig,
+)
+from repro.serve import (
+    DeadlineExceeded,
+    ReplicaAutoscaler,
+    ServingCluster,
+    event_stream,
+)
 
 from helpers import toy_serving_setup
 
+#: batcher deadline of the SLO fixtures: far beyond any test's wall time, so
+#: a process worker never deadline-flushes on its own (real) clock
+MAX_DELAY = 60.0
+HEDGE_FLOOR = 0.1
+DEADLINE = 4 * MAX_DELAY
+
+SLO_CONFIG = ExperimentConfig(
+    data=DataConfig(dataset="wikipedia", scale=0.004, seed=0),
+    model=ModelConfig(memory_dim=8, time_dim=8, embed_dim=8),
+    train=TrainConfig(epochs=1, batch_size=50, eval_candidates=10),
+    serve=ServeConfig(
+        replicas=2, max_batch_pairs=10 ** 6, max_delay_ms=MAX_DELAY * 1e3,
+        hedge_quantile=99.0, hedge_min_ms=HEDGE_FLOOR * 1e3,
+        deadline_ms=DEADLINE * 1e3,
+    ),
+)
+
 
 class FakeClock:
+    """Manual clock; ``tick`` makes every read advance it (time passing
+    between the front door's admission decision and the dispatch)."""
+
     def __init__(self, t: float = 0.0) -> None:
         self.t = t
+        self.tick = 0.0
 
     def __call__(self) -> float:
-        return self.t
+        now = self.t
+        self.t += self.tick
+        return now
 
     def advance(self, dt: float) -> None:
         self.t += dt
@@ -35,6 +74,43 @@ def build_cluster(k=1, **kwargs):
     kwargs.setdefault("max_batch_pairs", 10 ** 6)
     kwargs.setdefault("max_delay", 100.0)
     return ServingCluster(model, serve_graph, decoder, k=k, **kwargs), g, split
+
+
+@pytest.fixture(scope="module")
+def slo_session():
+    sess = Session(SLO_CONFIG)
+    sess.fit(max_iterations=6)
+    return sess
+
+
+@pytest.fixture
+def slo(request, slo_session):
+    """A 2-replica cluster with hedging and deadlines armed, on the fleet
+    the requesting test class names (``FLEET``): ``cluster``, its fake
+    front-door ``clock``, one ``query`` and a ``baseline()`` factory for an
+    identical-weights cluster that is never hedged.  The process fleet is
+    built by ``Session.serve`` from a config whose ``serve`` section
+    carries the SLO fields."""
+    clock = FakeClock()
+    if request.cls.FLEET == "threads":
+        cluster, _, _ = build_cluster(
+            k=2, clock=clock, max_delay=MAX_DELAY, deadline=DEADLINE,
+            hedge_quantile=99.0, hedge_min_delay=HEDGE_FLOOR,
+        )
+
+        def baseline():
+            return build_cluster(k=2, max_delay=MAX_DELAY)[0]
+    else:
+        cluster = slo_session.serve(process_replicas=True)
+        cluster.clock = clock
+        # the unhedged reference is the *other* fleet: same bytes across
+        baseline = slo_session.serve
+    graph = cluster.graph
+    query = (int(graph.src[0]), np.arange(12, 20), graph.max_time + 1.0)
+    with cluster:
+        yield SimpleNamespace(
+            cluster=cluster, clock=clock, query=query, baseline=baseline
+        )
 
 
 def submit_n(cluster, g, n, candidates=4):
@@ -174,52 +250,104 @@ class TestElasticFleetState:
         with pytest.raises(ValueError):
             cluster.remove_replica()
 
+    def test_late_dispatch_to_a_retiring_replica_is_answered(self):
+        """The dispatch runs outside the front-door lock, so a scale-down
+        can land between the routing decision and the submit: the retiree
+        must stay on the draining list until that request settles."""
+        cluster, g, _ = build_cluster(k=2)
+        victim = cluster.replicas[1]
+        dispatch = victim.submit
 
-class TestHedgedDeterminism:
-    def build_hedged(self, clock):
-        cluster, g, split = build_cluster(
-            k=2, clock=clock, max_delay=1.0,
-            hedge_quantile=99.0, hedge_min_delay=0.1,
-        )
-        return cluster, g
+        def late(kind, payload, deadline):
+            cluster.remove_replica()        # pops `victim`, finds it empty
+            return dispatch(kind, payload, deadline)
 
-    def test_hedge_returns_bitwise_identical_scores(self):
+        victim.submit = late
+        first, second = submit_n(cluster, g, 2)   # round robin: second -> victim
+        assert second._primary_rep is victim and victim not in cluster.replicas
+        assert victim.load == 1 and cluster._draining == [victim]
+        cluster.flush_all()
+        assert np.all(np.isfinite(first.wait(5.0)))
+        assert np.all(np.isfinite(second.wait(5.0)))
+        cluster.poll()
+        assert cluster._draining == []
+
+    def test_concurrent_pollers_release_each_retiree_once(self):
+        """Every blocked client drives ``poll()``: two pollers racing over
+        the draining list while the fleet oscillates must never raise, and
+        nothing admitted along the way may be stranded."""
+        cluster, g, _ = build_cluster(k=1)
+        errors, stop = [], threading.Event()
+
+        def poller():
+            try:
+                while not stop.is_set():
+                    cluster.poll()
+            except Exception as exc:  # noqa: BLE001 - the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=poller) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        handles = []
+        try:
+            for _ in range(25):
+                cluster.add_replica()
+                handles += submit_n(cluster, g, 4)
+                cluster.remove_replica()
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(10.0)
+        assert errors == []
+        cluster.flush_all()
+        assert all(np.all(np.isfinite(h.wait(5.0))) for h in handles)
+        cluster.poll()
+        assert cluster._draining == [] and len(cluster.replicas) == 1
+
+
+class _HedgeCases:
+    """One body per case; the ``Test*`` subclasses pick the fleet."""
+
+    def test_slo_fields_reach_either_fleet(self, slo):
+        cluster = slo.cluster
+        assert cluster.deadline == DEADLINE
+        assert cluster.hedge_quantile == 99.0
+        assert cluster.hedge_min_delay == pytest.approx(HEDGE_FLOOR)
+
+    def test_hedge_returns_bitwise_identical_scores(self, slo):
         """A wedged primary is rescued by the hedge, and the hedged answer
         equals the unhedged one byte for byte."""
-        clock = FakeClock()
-        cluster, g = self.build_hedged(clock)
-        t = cluster.graph.max_time + 1.0
-        cands = np.arange(12, 20)
+        cluster, clock = slo.cluster, slo.clock
 
-        front = cluster.submit_rank(int(g.src[0]), cands, t)
+        front = cluster.submit_rank(*slo.query)
         assert front._primary_index == 0 and not front.hedged
         cluster._sweep()  # cold reservoir: delay = max_delay, not yet due
         assert not front.hedged
 
-        clock.advance(2.0)  # past the hedge delay; primary stays wedged
+        clock.advance(2 * MAX_DELAY)  # past the hedge delay; primary stays wedged
         cluster._sweep()
         assert front.hedged and front._hedge_index == 1
         assert cluster.stats.hedged == 1
 
-        cluster.replicas[1].batcher.flush()  # only the hedge lane flushes
+        cluster.replicas[1].flush()  # only the hedge lane flushes
         hedged_scores = front.wait(5.0)
         assert front.hedge_won
 
-        # unhedged baseline: identical weights (same toy seed), same query,
-        # singleton flush on the primary replica
-        baseline, g2, _ = build_cluster(k=2, max_delay=1.0)
-        ref = baseline.submit_rank(int(g2.src[0]), cands, t)
-        baseline.replicas[0].batcher.flush()
+        # unhedged baseline: identical weights, same query, singleton flush
+        # on the primary replica
+        baseline = slo.baseline()
+        ref = baseline.submit_rank(*slo.query)
+        baseline.replicas[0].flush()
+        assert not ref.hedged
         assert hedged_scores.tobytes() == ref.wait(5.0).tobytes()
 
-    def test_cancelled_loser_never_double_counts(self):
-        clock = FakeClock()
-        cluster, g = self.build_hedged(clock)
-        t = cluster.graph.max_time + 1.0
-        front = cluster.submit_rank(int(g.src[0]), np.arange(12, 20), t)
-        clock.advance(2.0)
+    def test_cancelled_loser_never_double_counts(self, slo):
+        cluster, clock = slo.cluster, slo.clock
+        front = cluster.submit_rank(*slo.query)
+        clock.advance(2 * MAX_DELAY)
         cluster._sweep()
-        cluster.replicas[1].batcher.flush()
+        cluster.replicas[1].flush()
         front.wait(5.0)
 
         assert cluster.stats.completed == 1
@@ -227,32 +355,52 @@ class TestHedgedDeterminism:
         assert cluster.request_latency.count == 1
 
         # the losing primary lane was cancelled before compute: flushing its
-        # batcher discards it without recording a second completion
-        cluster.replicas[0].batcher.flush()
-        assert cluster.replicas[0].batcher.stats.cancelled == 1
+        # batcher discards it without recording a second completion, and it
+        # never reached the engine
+        cluster.replicas[0].flush()
+        loser = cluster.worker_stats()[0]
+        assert loser["cancelled"] == 1 and loser["queries"] == 0
         assert cluster.stats.completed == 1
         assert cluster.request_latency.count == 1
 
-    def test_primary_win_cancels_the_hedge_lane(self):
-        clock = FakeClock()
-        cluster, g = self.build_hedged(clock)
-        t = cluster.graph.max_time + 1.0
-        front = cluster.submit_rank(int(g.src[0]), np.arange(12, 20), t)
-        clock.advance(2.0)
+    def test_primary_win_cancels_the_hedge_lane(self, slo):
+        cluster, clock = slo.cluster, slo.clock
+        front = cluster.submit_rank(*slo.query)
+        clock.advance(2 * MAX_DELAY)
         cluster._sweep()
         assert front.hedged
 
-        cluster.replicas[0].batcher.flush()  # primary beats the hedge
+        cluster.replicas[0].flush()  # primary beats the hedge
         front.wait(5.0)
         assert not front.hedge_won
         assert cluster.stats.hedge_wins == 0
-        cluster.replicas[1].batcher.flush()
-        assert cluster.replicas[1].batcher.stats.cancelled == 1
+        cluster.replicas[1].flush()
+        loser = cluster.worker_stats()[1]
+        assert loser["cancelled"] == 1 and loser["queries"] == 0
         assert cluster.stats.completed == 1
+
+    def test_hedge_quantile_none_never_hedges(self, slo):
+        cluster, clock = slo.cluster, slo.clock
+        cluster.hedge_quantile = None
+        assert cluster.hedge_delay() is None
+        front = cluster.submit_rank(*slo.query)
+        clock.advance(3 * MAX_DELAY)  # past any hedge delay, inside the budget
+        cluster._sweep()
+        assert not front.hedged and cluster.stats.hedged == 0
+        cluster.flush_all()
+        assert np.all(np.isfinite(front.wait(5.0)))
+
+
+
+class TestHedgedDeterminism(_HedgeCases):
+    FLEET = "threads"
 
     def test_hedge_delay_semantics(self):
         clock = FakeClock()
-        cluster, _ = self.build_hedged(clock)
+        cluster, _, _ = build_cluster(
+            k=2, clock=clock, max_delay=1.0,
+            hedge_quantile=99.0, hedge_min_delay=0.1,
+        )
         # cold reservoir: fall back to the batcher deadline (1.0 > floor)
         assert cluster.hedge_delay() == 1.0
         # warm reservoir: the configured quantile, floored at hedge_min_delay
@@ -276,3 +424,73 @@ class TestHedgedDeterminism:
         assert not front.hedged and cluster.stats.hedged == 0
         cluster.flush_all()
         front.wait(5.0)
+
+
+class TestHedgedDeterminismProcessFleet(_HedgeCases):
+    FLEET = "processes"
+
+
+class _ScaleCycleCases:
+    def test_routed_keeps_one_slot_per_live_replica(self, slo):
+        """An oscillating autoscaler must not grow ``stats.routed``: one
+        slot per live index, and a re-added replica counts into its own."""
+        cluster = slo.cluster
+        for _ in range(2):
+            cluster.remove_replica()
+            assert len(cluster.stats.routed) == len(cluster.replicas) == 1
+            cluster.add_replica()
+            assert len(cluster.stats.routed) == len(cluster.replicas) == 2
+        fronts = [cluster.submit_rank(*slo.query) for _ in range(2)]
+        cluster.flush_all()
+        assert all(np.all(np.isfinite(f.wait(5.0))) for f in fronts)
+        assert cluster.stats.routed == [1, 1]
+        assert [f._primary_index for f in fronts] == [0, 1]
+
+
+class TestScaleCycling(_ScaleCycleCases):
+    FLEET = "threads"
+
+
+class TestScaleCyclingProcessFleet(_ScaleCycleCases):
+    FLEET = "processes"
+
+
+class _DeadlineCases:
+    def test_budget_below_the_estimated_wait_is_shed(self, slo):
+        """Deadline-aware admission: the routed replica's estimated wait
+        (at least its batcher deadline) already exceeds the budget."""
+        cluster, clock = slo.cluster, slo.clock
+        src, cands, t = slo.query
+        shed = cluster.submit_rank(src, cands, t, deadline=clock() + MAX_DELAY / 2)
+        assert shed is None
+        assert cluster.stats.shed == cluster.stats.shed_deadline == 1
+        assert cluster.pending_requests == 0
+        # the configured default budget covers the estimate: admitted
+        front = cluster.submit_rank(src, cands, t)
+        assert front is not None and front.deadline == clock() + DEADLINE
+        cluster.flush_all()
+        assert np.all(np.isfinite(front.wait(5.0)))
+
+    def test_budget_running_out_in_the_queue_expires(self, slo):
+        """Admitted on its budget, but by the time the batch flushes the
+        budget is gone: the request fails typed, before any compute."""
+        cluster, clock = slo.cluster, slo.clock
+        cluster.hedge_quantile = None       # one lane: the expiry settles it
+        clock.tick = DEADLINE + 1.0         # the budget elapses mid-dispatch
+        front = cluster.submit_rank(*slo.query)
+        assert front is not None
+        clock.tick = 0.0
+        cluster.flush_all()
+        with pytest.raises(DeadlineExceeded):
+            front.wait(5.0)
+        assert cluster.stats.expired == 1 and cluster.stats.completed == 0
+        served = cluster.worker_stats()[front._primary_index]
+        assert served["expired"] == 1 and served["queries"] == 0
+
+
+class TestDeadlines(_DeadlineCases):
+    FLEET = "threads"
+
+
+class TestDeadlinesProcessFleet(_DeadlineCases):
+    FLEET = "processes"
