@@ -23,6 +23,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..nn.tensor import scatter_add
+
 
 class Mailbox:
     """One mail slot per node (COMB = most-recent, TGN-attn's choice) or a
@@ -105,9 +107,8 @@ class Mailbox:
             self.has_mail[nodes_o] = True
         else:  # mean over the batch's mails per node
             sums = np.zeros((self.num_nodes, self.mail_dim), dtype=np.float64)
-            counts = np.zeros(self.num_nodes, dtype=np.int64)
-            np.add.at(sums, nodes, mails.astype(np.float64))
-            np.add.at(counts, nodes, 1)
+            scatter_add(sums, nodes, mails.astype(np.float64))
+            counts = np.bincount(nodes, minlength=self.num_nodes)
             touched = counts > 0
             self.mail[touched] = (sums[touched] / counts[touched, None]).astype(np.float32)
             latest = np.zeros(self.num_nodes, dtype=np.float64)

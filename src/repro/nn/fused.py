@@ -30,6 +30,12 @@ equivalence suite (``tests/test_train_fused_equivalence.py``) holds the two
 paths to a 1e-5 loss-trajectory match.  Fusion is toggled globally with
 :func:`set_fused` / :func:`use_fused`; composite fallbacks live next to each
 dispatching wrapper so the two implementations can be diffed at a glance.
+A kernel may run its epilogue in place on an array it just allocated
+(``_affine_forward`` adds the bias, applies relu as ``multiply(pre, pre > 0,
+out=pre)`` and tanh as ``tanh(pre, out=pre)`` on the fresh GEMM output):
+the same ufunc loops on the same dtypes, so the bits are those of the
+allocating form, with fewer temporaries.  It must never write into an
+input array or a residual.
 """
 
 from __future__ import annotations
@@ -304,16 +310,16 @@ _ACTIVATIONS = ("none", "relu", "tanh")
 def _affine_forward(
     x: np.ndarray, weight: np.ndarray, *maybe_bias, activation: str = "none"
 ):
+    # the epilogue runs in place on the fresh GEMM output: the same ufunc
+    # loops as ``pre + bias`` / ``pre * (pre > 0)`` / ``np.tanh(pre)``
     pre = x @ weight.T
     if maybe_bias:
-        pre = pre + maybe_bias[0]
+        pre += maybe_bias[0]
     if activation == "relu":
-        value = pre * (pre > 0)
+        np.multiply(pre, pre > 0, out=pre)
     elif activation == "tanh":
-        value = np.tanh(pre)
-    else:
-        value = pre
-    return value, (x, weight)
+        np.tanh(pre, out=pre)
+    return pre, (x, weight)
 
 
 def _affine_vjp(grad, value, residuals, needs, activation: str = "none"):

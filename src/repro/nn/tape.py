@@ -54,7 +54,7 @@ import numpy as np
 from ..obs import instant, is_enabled, span
 from ..obs.metrics import get_registry
 from .fused import REGISTRY
-from .tensor import Tensor, _as_array, _unbroadcast, set_tracer
+from .tensor import Tensor, _as_array, _unbroadcast, scatter_add, set_tracer
 
 __all__ = [
     "StepCompiler",
@@ -495,7 +495,7 @@ def _build_op(
                 scratch[0] = full
             else:
                 full.fill(0)
-            np.add.at(full, get_index(), g)
+            scatter_add(full, get_index(), g)
             acc(a, full)
 
         return fwd, bwd
@@ -738,8 +738,11 @@ def compile_tape(
 
     def acc(slot: int, g: np.ndarray) -> None:
         # bitwise mirror of Tensor._accumulate with a persistent pool.
+        # Ownership follows the eager rule: an adopted (borrowed) array is
+        # never added into — only single-contributor slots adopt, so the
+        # in-place add below only ever hits a pooled buffer the slot owns.
         # 0-d ops yield numpy *scalars* (no in-place add), so those fall
-        # back to rebinding — exactly what eager ``grad += g`` does.
+        # back to rebinding — exactly what eager ``grad + g`` does.
         if written[slot]:
             buf = gbufs[slot]
             if isinstance(buf, np.ndarray):

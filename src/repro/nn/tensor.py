@@ -18,6 +18,17 @@ Design notes
 * No in-place mutation of ``data`` after a tensor participates in a graph;
   helpers that need buffers (node memory) keep raw numpy arrays and only
   enter the graph through explicit ``Tensor`` constructors or ``gather``.
+* Gradient ownership.  An interior node (one with ``_parents``) whose first
+  gradient already has its dtype *borrows* that array: one array may be the
+  ``.grad`` of several nodes (a same-shape add hands its gradient to both
+  parents, reshape/transpose hand views).  A borrowed gradient is never
+  written into; a later contribution rebinds ``.grad`` to a new array
+  through the same ufunc loop and cast as ``+=``.  In-place ``+=`` happens
+  only on an *owned* buffer (``grad is _grad_buf``).  Leaves and parameters
+  always copy their first gradient into their own ``_grad_buf``, so
+  ``clip_grad_norm``'s in-place scaling can never reach a shared array.
+* Row scatters (``gather_rows`` / ``__getitem__`` backward) go through
+  :func:`scatter_add`, which is ``np.add.at`` bit for bit on its fast path.
 """
 
 from __future__ import annotations
@@ -70,6 +81,34 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def scatter_add(out: np.ndarray, index, grad: np.ndarray) -> None:
+    """``np.add.at(out, index, grad)``, bit for bit, on numpy's fast path.
+
+    For a 1-D integer row index into a C-contiguous table of two or more
+    dimensions the row index is flattened to element indices, so the
+    unbuffered add runs as a 1-D ``np.add.at`` on ``out.reshape(-1)``:
+    the same additions, applied to each element in the same index order,
+    several times faster than the row-indexed loop.  Negative rows wrap
+    exactly as in ``np.add.at`` and out-of-range rows raise.  Any other
+    index or shape falls back to ``np.add.at`` itself.
+    """
+    if (
+        isinstance(index, np.ndarray)
+        and index.ndim == 1
+        and index.dtype.kind == "i"
+        and out.ndim >= 2
+        and out.flags.c_contiguous
+        and out.size
+        and np.shape(grad) == index.shape + out.shape[1:]
+    ):
+        d = out.size // out.shape[0]
+        rows = index.astype(np.int64, copy=False)
+        flat = rows[:, None] * d + np.arange(d, dtype=np.int64)
+        np.add.at(out.reshape(-1), flat.reshape(-1), np.reshape(grad, -1))
+    else:
+        np.add.at(out, index, grad)
 
 
 class Tensor:
@@ -141,6 +180,15 @@ class Tensor:
     # --------------------------------------------------------------- helpers
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
+            if (
+                self._parents
+                and isinstance(grad, np.ndarray)
+                and grad.dtype == self.data.dtype
+            ):
+                # Interior node: borrow the incoming array (same bits, no
+                # copy).  It may be shared, so it is never written into.
+                self.grad = grad
+                return
             # First contribution: write into the per-tensor gradient arena
             # when its shape still matches instead of allocating a fresh
             # buffer every step.  ``copyto(..., casting="unsafe")`` performs
@@ -158,8 +206,14 @@ class Tensor:
                 self.grad = grad.astype(self.data.dtype, copy=True)
                 if isinstance(self.grad, np.ndarray):
                     self._grad_buf = self.grad
-        else:
+        elif self.grad is self._grad_buf:
             self.grad += grad
+        elif isinstance(self.grad, np.ndarray):
+            # borrowed: rebind through the same ufunc loop and output cast
+            # as ``+=`` instead of writing into an array another node holds
+            self.grad = np.add(self.grad, grad, out=np.empty_like(self.grad))
+        else:
+            self.grad = self.grad + grad
 
     @staticmethod
     def _lift(other: Union["Tensor", ArrayLike]) -> "Tensor":
@@ -562,7 +616,7 @@ class Tensor:
         def _backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
+                scatter_add(full, index, grad)
                 self._accumulate(full)
 
         out._backward = _backward if out.requires_grad else None
@@ -583,7 +637,7 @@ class Tensor:
         def _backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                np.add.at(full, indices, grad)
+                scatter_add(full, indices, grad)
                 self._accumulate(full)
 
         out._backward = _backward if out.requires_grad else None

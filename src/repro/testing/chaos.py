@@ -317,6 +317,13 @@ def run_chaos_schedule(
 
 
 # ------------------------------------------------------------- comparators
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    # dtype, shape and bytes: ``np.array_equal`` would let -0.0 equal 0.0
+    # and a float64 copy equal its float32 original
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def compare_sessions(a: Session, b: Session) -> List[str]:
     """Every state difference between two sessions (empty == bitwise equal):
     model + decoder weights, Adam moments, and per-group node memory /
@@ -328,26 +335,29 @@ def compare_sessions(a: Session, b: Session) -> List[str]:
     ):
         if name_a != name_b:
             diffs.append(f"parameter order mismatch: {name_a} vs {name_b}")
-        elif not np.array_equal(p_a.data, p_b.data):
+        elif not _same_bits(p_a.data, p_b.data):
             diffs.append(f"weights differ: {name_a}")
     m_a, v_a, s_a = a.trainer.optimizer.state_arrays()
     m_b, v_b, s_b = b.trainer.optimizer.state_arrays()
     if s_a != s_b:
         diffs.append(f"optimizer step differs: {s_a} vs {s_b}")
     for idx, (ma, mb) in enumerate(zip(m_a, m_b)):
-        if not np.array_equal(ma, mb):
+        if not _same_bits(ma, mb):
             diffs.append(f"Adam m moment differs: param {idx}")
     for idx, (va, vb) in enumerate(zip(v_a, v_b)):
-        if not np.array_equal(va, vb):
+        if not _same_bits(va, vb):
             diffs.append(f"Adam v moment differs: param {idx}")
     for g_a, g_b in zip(a.trainer.groups, b.trainer.groups):
         tag = f"group {g_a.index}"
-        if not np.array_equal(g_a.memory.memory, g_b.memory.memory):
-            diffs.append(f"{tag}: node memory differs")
-        if not np.array_equal(g_a.memory.last_update, g_b.memory.last_update):
-            diffs.append(f"{tag}: last_update differs")
-        if not np.array_equal(g_a.mailbox.mail, g_b.mailbox.mail):
-            diffs.append(f"{tag}: mailbox differs")
+        for label, x, y in (
+            ("node memory", g_a.memory.memory, g_b.memory.memory),
+            ("last_update", g_a.memory.last_update, g_b.memory.last_update),
+            ("mailbox", g_a.mailbox.mail, g_b.mailbox.mail),
+            ("mail_time", g_a.mailbox.mail_time, g_b.mailbox.mail_time),
+            ("has_mail", g_a.mailbox.has_mail, g_b.mailbox.has_mail),
+        ):
+            if not _same_bits(x, y):
+                diffs.append(f"{tag}: {label} differs")
         if (g_a.position, g_a.prev_batch, g_a.sweeps_completed) != (
             g_b.position,
             g_b.prev_batch,

@@ -125,6 +125,45 @@ class TestCombMean:
         assert not mb.has_mail[2]
         assert mb.has_mail[0] and mb.has_mail[1]
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_nodes=st.integers(1, 6),
+        n=st.integers(1, 60),
+        edge_dim=st.integers(0, 3),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_mean_bytes_match_dense_add_at_on_duplicates(
+        self, num_nodes, n, edge_dim, seed
+    ):
+        # a handful of nodes behind many events: every node is hit repeatedly
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, num_nodes, n)
+        dst = rng.integers(0, num_nodes, n)
+        s_mem = rng.standard_normal((n, 2)).astype(np.float32)
+        d_mem = rng.standard_normal((n, 2)).astype(np.float32)
+        ef = rng.standard_normal((n, edge_dim)).astype(np.float32)
+        times = np.sort(rng.uniform(0, 10, n))
+        mb = Mailbox(num_nodes, 2, edge_dim=edge_dim, comb="mean")
+        mb.deposit(src, dst, s_mem, d_mem, times, edge_feats=ef if edge_dim else None)
+
+        # the kernel the deposit used before: dense np.add.at for both
+        nodes = np.concatenate([src, dst])
+        mails = np.concatenate(
+            [
+                np.concatenate([s_mem, d_mem, ef], axis=1),
+                np.concatenate([d_mem, s_mem, ef], axis=1),
+            ]
+        )
+        sums = np.zeros((num_nodes, mb.mail_dim), dtype=np.float64)
+        counts = np.zeros(num_nodes, dtype=np.int64)
+        np.add.at(sums, nodes, mails.astype(np.float64))
+        np.add.at(counts, nodes, 1)
+        touched = counts > 0
+        expected = np.zeros((num_nodes, mb.mail_dim), dtype=np.float32)
+        expected[touched] = (sums[touched] / counts[touched, None]).astype(np.float32)
+        assert mb.mail.tobytes() == expected.tobytes()
+        assert np.array_equal(mb.has_mail, touched)
+
 
 class TestStateManagement:
     def test_write_raw(self):

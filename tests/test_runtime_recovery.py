@@ -41,7 +41,7 @@ from repro.testing import (
     failpoints,
     run_chaos_schedule,
 )
-from repro.testing.chaos import CHAOS_KINDS
+from repro.testing.chaos import CHAOS_KINDS, compare_sessions
 from repro.testing.failpoints import ENV_VAR, FailpointError, FailpointRegistry, FailpointSpec
 
 #: deadlines for the chaos fits: short enough to fail fast, long enough
@@ -487,6 +487,43 @@ class TestChaosSchedule:
         )
         assert report.recovered, schedule.describe()
         assert report.bitwise_equal, (schedule.describe(), report.differences)
+
+
+# ------------------------------------------------------- oracle sensitivity
+class TestOracleSensitivity:
+    """The state comparator must see a one-field perturbation."""
+
+    @pytest.fixture
+    def pair(self):
+        a = Session(tiny_config("1x1x1"))
+        b = Session(tiny_config("1x1x1"))
+        assert compare_sessions(a, b) == []
+        return a, b
+
+    def test_mail_time_only(self, pair):
+        a, b = pair
+        b.trainer.groups[0].mailbox.mail_time[0] += 1.0
+        assert compare_sessions(a, b) == ["group 0: mail_time differs"]
+
+    def test_has_mail_only(self, pair):
+        a, b = pair
+        b.trainer.groups[0].mailbox.has_mail[0] ^= True
+        assert compare_sessions(a, b) == ["group 0: has_mail differs"]
+
+    def test_signed_zero_weight(self, pair):
+        a, b = pair
+        (name, p_a), (_, p_b) = next(
+            zip(a.decoder.named_parameters(), b.decoder.named_parameters())
+        )
+        p_a.data.reshape(-1)[0] = 0.0
+        p_b.data.reshape(-1)[0] = -0.0
+        assert compare_sessions(a, b) == [f"weights differ: {name}"]
+
+    def test_dtype_change_in_memory(self, pair):
+        a, b = pair
+        g = b.trainer.groups[0].memory
+        g.memory = g.memory.astype(np.float64)
+        assert compare_sessions(a, b) == ["group 0: node memory differs"]
 
 
 # ----------------------------------------------------------- Session.resume

@@ -110,3 +110,14 @@ class TestFormatting:
         assert human_bytes(10) == "10 B"
         assert human_bytes(1536) == "1.5 KiB"
         assert human_bytes(3 * 1024**3) == "3.0 GiB"
+
+
+class TestNumericFingerprint:
+    def test_reports_numpy_and_bundled_blas(self):
+        from repro.utils.fingerprint import numeric_fingerprint
+
+        fp = numeric_fingerprint()
+        assert fp["numpy"] == np.__version__
+        if fp["blas_library"] is not None:
+            assert fp["blas_core"] and fp["blas_threads"] >= 1
+            assert fp["blas_core"] in fp["blas_config"]
