@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional
 
 from ..parallel.config import ParallelConfig
+from ..serve.batcher import DEFAULT_MAX_DELAY
 from . import registry as _reg
 
 
@@ -183,6 +184,16 @@ class TrainConfig(ConfigBase):
 class ServeConfig(ConfigBase):
     """Shape of the serving deployment built by ``Session.serve``.
 
+    ``max_delay_ms`` is the micro-batch window; its default is the serving
+    stack's (:data:`repro.serve.batcher.DEFAULT_MAX_DELAY`).  That default,
+    0, makes replicas work-conserving: a poll that finds queued requests
+    flushes them, so batch size follows load (requests that queue while a
+    batch computes ride the next one) and no request idles out a timer.  A positive window holds work so more
+    requests join one batch — more dedup per flush at the price of latency
+    under light load; a very large one leaves flushing to
+    ``max_batch_pairs`` and explicit flushes, which pins batch composition
+    (what byte-equality checks need: scores move at the last ulp with it).
+
     The elastic/SLO/continual knobs are all off by default (``None`` / 0),
     so a plain deployment behaves exactly like the fixed-k cluster:
 
@@ -204,7 +215,7 @@ class ServeConfig(ConfigBase):
     policy: str = "round_robin"
     admission_limit: Optional[int] = None
     max_batch_pairs: int = 256
-    max_delay_ms: float = 2.0
+    max_delay_ms: float = DEFAULT_MAX_DELAY * 1e3
     stream_chunk: int = 100
     dedup: bool = True
     memoize_time: bool = True

@@ -23,6 +23,7 @@ import json
 from pathlib import Path
 from typing import Optional, Union
 
+from ..utils.fingerprint import one_blas_thread
 from .config import ExperimentConfig
 
 _UNSET = object()
@@ -113,6 +114,13 @@ class Session:
           ``repro.cli agent --join`` processes instead of spawning them;
           ``agents`` asserts the expected agent count (must equal the
           plan's ``machines``).
+
+        Every backend computes at one BLAS thread — the local fit for its
+        duration, the ranks for their lifetime — unless the caller set
+        ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` (any variable the
+        bundled OpenBLAS reads, :data:`repro.utils.fingerprint.THREAD_ENV`),
+        which is kept (the thread count changes float bits; rank 0 reports
+        it in its ``numeric_fingerprint``).
 
         ``checkpoint_dir`` (+ ``checkpoint_every``, default
         ``config.train.checkpoint_every``, or every block boundary when no
@@ -205,13 +213,16 @@ class Session:
         if own_tracer:
             obs.configure(trace_dir, rank=0, lane="local")
         try:
-            self.result = self.trainer.train(
-                epochs_equivalent=epochs if epochs is not None else self.config.train.epochs,
-                max_iterations=max_iterations,
-                verbose=verbose,
-                run_state=run_state,
-                on_block_boundary=on_block_boundary,
-            )
+            # the thread count the process backend's ranks run at, so the
+            # two backends agree bit for bit (see repro.utils.fingerprint)
+            with one_blas_thread():
+                self.result = self.trainer.train(
+                    epochs_equivalent=epochs if epochs is not None else self.config.train.epochs,
+                    max_iterations=max_iterations,
+                    verbose=verbose,
+                    run_state=run_state,
+                    on_block_boundary=on_block_boundary,
+                )
         finally:
             if own_tracer:
                 obs.disable(flush=True)
@@ -251,10 +262,14 @@ class Session:
         """Evaluate on ``'val'`` or ``'test'`` with the current weights,
         warm-starting from memory group 0 (the paper's protocol); returns an
         :class:`repro.train.EvalResult`.  Side-effect free and deterministic:
-        repeated calls give identical metrics."""
+        repeated calls give identical metrics (at one BLAS thread, like
+        :meth:`fit`)."""
         if split not in ("val", "test"):
             raise ValueError(f"split must be 'val' or 'test', got {split!r}")
-        return self.trainer._evaluate_split(split, warm_group=self.trainer.groups[0])
+        with one_blas_thread():
+            return self.trainer._evaluate_split(
+                split, warm_group=self.trainer.groups[0]
+            )
 
     # ------------------------------------------------------------- inference
     def predictor(self, *, append_on_observe: bool = False,

@@ -254,8 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--candidates", type=int, default=20)
     p_serve.add_argument("--max-batch", type=int, default=256,
                          help="micro-batch size trigger in (src, dst) pairs")
-    p_serve.add_argument("--max-delay-ms", type=float, default=2.0,
-                         help="micro-batch deadline trigger")
+    p_serve.add_argument(
+        "--max-delay-ms", type=float, default=ServeConfig.max_delay_ms,
+        help="micro-batch window: a poll flushes once the oldest queued "
+             "request is this old (default %(default)s: work-conserving, "
+             "flush whatever is queued; raise it to hold work for larger "
+             "batches)",
+    )
     p_serve.add_argument("--admission", type=int, default=None,
                          help="cluster-wide queued-request limit (shed beyond)")
     p_serve.add_argument("--stream-chunk", type=int, default=100,

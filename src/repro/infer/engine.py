@@ -15,6 +15,11 @@ library ships an inference engine implementing the three ideas on our stack:
 
 The engine also maintains streaming state: :meth:`observe` folds new events
 into the node memory/mailbox (no gradients), mirroring online serving.
+
+Every entry point computes at one BLAS thread (unless the caller chose a
+count through the environment), the count process serving replicas run at,
+so in-thread, process and direct engine use agree bit for bit
+(:mod:`repro.utils.fingerprint`).
 """
 
 from __future__ import annotations
@@ -34,6 +39,29 @@ from ..models.decoders import LinkPredictor
 from ..models.tgn import TGN, DirectMemoryView, tape_inputs, tape_ready, tape_signature
 from ..nn import StepCompiler, Tensor, fused_enabled
 from ..utils import stable_sigmoid
+from ..utils.fingerprint import one_blas_thread
+
+
+def unique_queries(
+    nodes: np.ndarray, times: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``(node, time)`` rows and the index mapping back.
+
+    Returns ``(q_nodes, q_times, inverse)`` with ``q_nodes[inverse] ==
+    nodes`` and ``q_times[inverse] == times``: the rows and order of
+    ``np.unique(np.stack([nodes, times], 1), axis=0, return_inverse=True)``
+    (sorted by node, then time), computed with one ``lexsort`` instead of
+    ``unique``'s structured-row sort, several times faster per flush.
+    """
+    order = np.lexsort((times, nodes))
+    s_nodes, s_times = nodes[order], times[order]
+    first = np.empty(len(order), dtype=bool)
+    first[:1] = True
+    np.not_equal(s_nodes[1:], s_nodes[:-1], out=first[1:])
+    first[1:] |= s_times[1:] != s_times[:-1]
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return s_nodes[first], s_times[first], inverse
 
 
 @dataclass
@@ -148,6 +176,7 @@ class InferenceEngine:
         )
 
     # ----------------------------------------------------------------- state
+    @one_blas_thread()
     def observe(self, src: np.ndarray, dst: np.ndarray, times: np.ndarray,
                 edge_feats: Optional[np.ndarray] = None) -> None:
         """Fold a chronological batch of new events into the serving state.
@@ -195,6 +224,7 @@ class InferenceEngine:
             self._static_proj_table = self.model.static_proj(static).data.copy()
 
     # ----------------------------------------------------------------- query
+    @one_blas_thread()
     def embed(self, nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Embeddings for (node, time) queries with dedup + memoization."""
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -202,10 +232,7 @@ class InferenceEngine:
         self.stats.queries += len(nodes)
 
         if self.dedup and len(nodes):
-            keys = np.stack([nodes.astype(np.float64), times], axis=1)
-            uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-            q_nodes = uniq[:, 0].astype(np.int64)
-            q_times = uniq[:, 1]
+            q_nodes, q_times, inverse = unique_queries(nodes, times)
         else:
             q_nodes, q_times, inverse = nodes, times, None
         self.stats.unique_queries += len(q_nodes)
@@ -266,6 +293,7 @@ class InferenceEngine:
         n = len(left)
         return emb[:n], emb[n:]
 
+    @one_blas_thread()
     def rank_candidates(
         self, src: int, candidates: np.ndarray, at_time: float
     ) -> np.ndarray:
@@ -285,6 +313,7 @@ class InferenceEngine:
         )
         return self.decoder(Tensor(h_src), Tensor(h_dst)).data
 
+    @one_blas_thread()
     def predict_links(
         self, src: np.ndarray, dst: np.ndarray, times: np.ndarray
     ) -> np.ndarray:

@@ -74,6 +74,7 @@ from ..obs import get_registry
 from ..obs.merge import merge_trace_dir
 from ..obs.trace import Tracer, resolve_trace_dir
 from ..testing import failpoints
+from ..utils.fingerprint import pin_blas_threads
 from .collectives import (
     Communicator,
     make_local_communicators,
@@ -109,7 +110,13 @@ class WorkerFailure(RuntimeError):
 
 
 def _worker_shell(target: Callable, rank: int, channel: Channel, kwargs: dict) -> None:
-    """Child-side wrapper: run the target, report result or failure."""
+    """Child-side wrapper: run the target, report result or failure.
+
+    Every spawned rank and serving replica runs at one BLAS thread unless
+    the caller set a thread count in the environment
+    (:func:`repro.utils.fingerprint.pin_blas_threads`).
+    """
+    pin_blas_threads()
     try:
         meta, arrays = target(rank, channel, **kwargs)
         channel.send("result", meta=meta or {}, arrays=arrays or {})

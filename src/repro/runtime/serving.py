@@ -20,7 +20,9 @@ channel:
 * **reads** — a :class:`ProcessReplica` turns ``submit`` into a ``rank`` /
   ``predict`` frame that queues into the worker's own
   :class:`~repro.serve.batcher.MicroBatcher` (micro-batching semantics
-  identical to the in-thread path) and comes back as a ``result`` — or a
+  identical to the in-thread path; the worker reads every frame already
+  waiting before it polls, so a burst of requests becomes one batch) and
+  comes back as a ``result`` — or a
   ``req_error`` carrying the error *kind*, so ``DeadlineExceeded`` /
   ``RequestCancelled`` / ``ValueError`` survive the wire — resolving a
   :class:`ProcessPendingResult`.  Deadlines travel as *remaining budget*
@@ -61,7 +63,7 @@ import multiprocessing as mp
 import threading
 import time
 from contextlib import ExitStack
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -178,15 +180,17 @@ def serve_worker(
 
     channel.send("ready", meta={"rank": rank})
     while True:
-        if not channel.poll(idle_wait):
+        # read every frame already waiting before polling the batcher, so a
+        # burst of requests becomes one batch; block only while nothing is
+        # queued — or, under a window, until the oldest request is due (the
+        # parent cannot drive worker-side polls the way an in-thread waiter
+        # can, so the loop keeps the window itself)
+        due = batcher.time_to_flush()
+        if not channel.poll(idle_wait if due is None else min(due, idle_wait)):
             batcher.poll()
             sweep()
             continue
         frame = channel.recv(timeout=5.0)
-        # deadline-check on *every* loop turn: sustained sub-threshold
-        # traffic must not starve the max_delay flush trigger (the parent
-        # cannot drive worker-side polls the way an in-thread waiter can)
-        batcher.poll()
         if frame.tag in ("rank", "predict"):
             # chaos hook: fires before the request is served, so a crash
             # leaves it outstanding in the parent for recovery to replay
@@ -361,8 +365,10 @@ class ProcessReplica:
             arrays = dict(zip(("src", "dst", "times"), payload))
         self.send(kind, meta, arrays)
 
-    def poll(self) -> int:
-        """Collect finished requests; respawn the worker if it died."""
+    def poll(self, until: Optional[Callable[[], bool]] = None) -> int:
+        """Collect finished requests; respawn the worker if it died
+        (``until`` is accepted for the replica interface: nothing here
+        computes a batch)."""
         resolved = self.pump(0.0)
         if self.dead:
             self.fleet.recover(self)

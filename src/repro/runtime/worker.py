@@ -103,6 +103,7 @@ from ..obs import span
 from ..obs.metrics import phase_totals
 from ..parallel.allreduce import TermGradAccumulator, load_reduced
 from ..testing import failpoints
+from ..utils.fingerprint import numeric_fingerprint
 from .sharedmem import CommitSlab, SharedGroupState, SharedStateSpec
 from .transport import Channel, TransportError
 
@@ -537,6 +538,7 @@ def run_rank(
         "world": world,
         "machines": plan.machines,
         "topology": cfg.train.topology,
+        "numeric_fingerprint": numeric_fingerprint(),
     }
     shared.close()
     obs_flush()

@@ -2,9 +2,11 @@
 
 The serving subsystem layers six pieces on the inference stack:
 
-* :class:`MicroBatcher` — deadline-based coalescing of concurrent
-  rank/predict requests into fused engine batches, so TGOpt-style
-  de-duplication and time-encoding memoization amortize *across* clients;
+* :class:`MicroBatcher` — work-conserving coalescing of concurrent
+  rank/predict requests into fused engine batches (by default a poll
+  flushes whatever queued, so batch size follows load; an explicit window
+  holds work for larger batches), so TGOpt-style de-duplication and
+  time-encoding memoization amortize *across* clients;
   per-request deadline budgets and cancellation support hedging/shedding;
 * :class:`ServingCluster` — **the** front door (paper §3.2.3 applied to
   serving): the event stream reaches every replica's state through the

@@ -1,4 +1,4 @@
-"""Deadline-based micro-batching of concurrent serving requests.
+"""Work-conserving micro-batching of concurrent serving requests.
 
 A single ``rank_candidates`` call already amortizes redundancy *within* one
 request (TGOpt dedup collapses the repeated source embedding).  Under real
@@ -11,8 +11,20 @@ memoization fire across request boundaries.
 call when either
 
 * the queued work reaches ``max_batch_pairs`` (size trigger), or
-* the oldest queued request has waited ``max_delay`` seconds (deadline
-  trigger, checked by :meth:`poll`).
+* :meth:`~MicroBatcher.poll` finds the oldest queued request at least
+  ``max_delay`` seconds old (window trigger).
+
+The default window is ``0`` (:data:`DEFAULT_MAX_DELAY`, which
+``ServeConfig.max_delay_ms`` reads): serving is *work-conserving* — a poll
+that finds queued work flushes it, so nothing idles out a timer and batch
+size follows load.  A flush holds the batcher lock only to dequeue; the
+engine runs under the engine (fleet) lock, so requests submitted while a
+batch computes join the queue and ride the next batch together, and a
+waiting client whose answer arrives while it waits for that lock returns
+instead of computing the next batch.  An explicit window holds work so
+more requests can join a batch (throughput at the price of latency under
+light load), or, set very large, pins batch composition to explicit
+:meth:`~MicroBatcher.flush` calls — what byte-equality checks need.
 
 A flush embeds the union of all queued (node, time) queries in **one**
 :meth:`InferenceEngine.embed` call and applies the decoder to all pairs at
@@ -21,8 +33,10 @@ per-request serving because dedup computes each unique (node, time) exactly
 once either way.
 
 The batcher is thread-safe: clients may submit from many threads and block
-on :meth:`PendingResult.wait`, which cooperatively drives :meth:`poll` so a
-sleeping fleet of waiters still meets the flush deadline.
+on :meth:`PendingResult.wait`, which cooperatively drives :meth:`poll`, so a
+fleet of waiters flushes its own work — no dedicated flusher thread.
+Locks are taken engine lock first, batcher lock second, and the batcher
+lock is never held while waiting on anything.
 """
 
 from __future__ import annotations
@@ -38,10 +52,18 @@ from ..infer.engine import InferenceEngine
 from ..nn import Tensor
 from ..obs import span
 from ..utils import stable_sigmoid
+from ..utils.fingerprint import one_blas_thread
 from .metrics import LatencyHistogram
+
+#: the default micro-batch window in seconds (``ServeConfig.max_delay_ms``
+#: reads it): 0, work-conserving — a poll that finds queued work flushes it
+DEFAULT_MAX_DELAY = 0.0
 
 _RANK = "rank"
 _PREDICT = "predict"
+# flush triggers (``None``: an unconditional flush)
+_SIZE = "size"
+_WINDOW = "window"
 
 
 class RequestCancelled(RuntimeError):
@@ -92,13 +114,16 @@ class PendingResult:
         """Block until the result is ready; optionally drive the batcher.
 
         ``drive=True`` makes waiting clients call :meth:`MicroBatcher.poll`,
-        so a group of blocked clients flushes itself once the deadline
-        passes — no dedicated flusher thread is required.
+        so a group of blocked clients flushes its own work (at once under
+        the default window of 0, else once the window passes) — no
+        dedicated flusher thread is required.  A client whose answer lands
+        while it waits for the engine returns without computing the next
+        batch.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while not self._event.is_set():
             if drive:
-                self._batcher.poll()
+                self._batcher.poll(until=self._event.is_set)
             if self._event.wait(timeout=1e-4):
                 break
             if deadline is not None and time.monotonic() > deadline:
@@ -193,13 +218,22 @@ class MicroBatcher:
     max_batch_pairs:
         Flush as soon as queued (src, dst) pairs reach this many.
     max_delay:
-        Flush when the oldest queued request is older than this (seconds).
+        The window (seconds): :meth:`poll` flushes once the oldest queued
+        request is at least this old.  The default,
+        :data:`DEFAULT_MAX_DELAY` = 0: every poll that finds queued work
+        flushes it (work-conserving — batches grow with the load that
+        queues up while the previous batch computes).  A positive window
+        holds work so more requests join one batch; a very large one leaves
+        flushing to the size trigger and explicit :meth:`flush` calls,
+        which pins batch composition (scores move at the last ulp with it).
     clock:
         Injectable time source (tests use a fake clock to step deadlines).
     engine_lock:
         Optional lock serializing engine access — a :class:`ServingCluster`
         shares one model across replicas, so concurrent flushes from
-        different replicas must not interleave time-encoder swaps.
+        different replicas must not interleave time-encoder swaps.  A flush
+        takes it *before* dequeuing, so a dequeued batch is always computed
+        before the next holder of the lock (an ingest, a hot swap) runs.
     histogram_cap:
         Reservoir cap for the request-latency histogram (bounds memory
         under sustained traffic).
@@ -209,7 +243,7 @@ class MicroBatcher:
         self,
         engine: InferenceEngine,
         max_batch_pairs: int = 256,
-        max_delay: float = 2e-3,
+        max_delay: float = DEFAULT_MAX_DELAY,
         clock: Callable[[], float] = time.perf_counter,
         engine_lock: Optional[threading.RLock] = None,
         histogram_cap: Optional[int] = None,
@@ -229,6 +263,7 @@ class MicroBatcher:
         self._queue: List[_Request] = []
         self._pending_pairs = 0
         self._oldest: Optional[float] = None
+        self._computing = False   # a dequeued batch is on the engine
         # EWMA of flush compute time (batcher clock) — the cluster's
         # deadline-aware admission uses it to estimate time-to-completion
         self.flush_ewma = 0.0
@@ -253,13 +288,24 @@ class MicroBatcher:
     def estimate_wait(self) -> float:
         """Expected queue-to-completion time for a request submitted now.
 
-        Worst-case queueing delay (``max_delay``) plus the EWMA flush cost
-        scaled by how full the current batch already is.  Deliberately
-        cheap and pessimistic: deadline-aware admission sheds on it.
+        Worst-case queueing delay (the window) plus the EWMA flush cost of
+        the batch it joins, scaled by how full that batch already is, plus
+        one more flush while a batch is computing (the new request waits
+        for it).  Deliberately cheap and pessimistic: deadline-aware
+        admission sheds on it.
         """
         with self._lock:
             fill = self._pending_pairs / self.max_batch_pairs
-        return self.max_delay + self.flush_ewma * (1.0 + fill)
+            ahead = 1.0 if self._computing else 0.0
+        return self.max_delay + self.flush_ewma * (1.0 + fill + ahead)
+
+    def time_to_flush(self) -> Optional[float]:
+        """Seconds until :meth:`poll` would flush (0: it would now);
+        ``None`` when nothing is queued."""
+        with self._lock:
+            if self._oldest is None:
+                return None
+            return max(0.0, self._oldest + self.max_delay - self.clock())
 
     # ----------------------------------------------------------------- submit
     def submit_rank(
@@ -301,30 +347,72 @@ class MicroBatcher:
                 self._oldest = now
             self.stats.requests += 1
             self.stats.pairs += len(left)
-            if self._pending_pairs >= self.max_batch_pairs:
-                self.stats.size_flushes += 1
-                self._flush_locked()
+            full = self._pending_pairs >= self.max_batch_pairs
+        if full:
+            self._flush(_SIZE)
         return result
 
     # ------------------------------------------------------------------ flush
-    def poll(self) -> int:
-        """Flush if the oldest queued request has exceeded its deadline.
+    def poll(self, until: Optional[Callable[[], bool]] = None) -> int:
+        """Flush if the oldest queued request is at least ``max_delay`` old
+        (under the default window of 0: if anything is queued).
 
-        Returns the number of requests flushed (0 if the deadline has not
+        ``until`` is the polling waiter's own completion test, checked once
+        the engine lock is free: a waiter whose answer arrived while it
+        waited for the lock returns instead of computing the next batch.
+        Returns the number of requests flushed (0 if the window has not
         passed or the queue is empty).
         """
-        with self._lock:
-            if self._oldest is None:
-                return 0
-            if self.clock() - self._oldest < self.max_delay:
-                return 0
-            self.stats.deadline_flushes += 1
-            return self._flush_locked()
+        return self._flush(_WINDOW, until)
 
     def flush(self) -> int:
         """Unconditionally flush the queue; returns requests served."""
+        return self._flush(None)
+
+    def _due(self, trigger: Optional[str]) -> bool:
+        """Whether ``trigger`` flushes the queue now (batcher lock held)."""
+        if not self._queue:
+            return False
+        if trigger == _SIZE:
+            return self._pending_pairs >= self.max_batch_pairs
+        if trigger == _WINDOW:
+            return self.clock() - self._oldest >= self.max_delay
+        return True
+
+    def _flush(
+        self, trigger: Optional[str], until: Optional[Callable[[], bool]] = None
+    ) -> int:
         with self._lock:
-            return self._flush_locked()
+            if not self._due(trigger):
+                return 0  # cheap exit: an idle poll never touches the engine lock
+        # engine lock first, batcher lock only to dequeue: submitters keep
+        # queueing while this batch computes, and whatever queued meanwhile
+        # is due again once the lock frees — the next flush takes it whole
+        with self._engine_lock:
+            if until is not None and until():
+                # the caller's own answer came while it waited for the lock:
+                # it returns rather than compute other clients' batch
+                return 0
+            with self._lock:
+                if not self._due(trigger):
+                    return 0  # another flush took the queue while we waited
+                if trigger == _SIZE:
+                    self.stats.size_flushes += 1
+                elif trigger == _WINDOW:
+                    self.stats.deadline_flushes += 1
+                batch, self._queue = self._queue, []
+                self._pending_pairs = 0
+                self._oldest = None
+                self._computing = True
+            try:
+                # the thread count process replicas run at, so both fleets
+                # score bit for bit alike (see repro.utils.fingerprint)
+                with one_blas_thread():
+                    self._run(batch)
+            finally:
+                with self._lock:
+                    self._computing = False
+        return len(batch)
 
     def _cancel(self, result: PendingResult) -> bool:
         """Withdraw ``result``'s request if still queued (see
@@ -348,13 +436,8 @@ class MicroBatcher:
         # completion wins, the cancel is a no-op
         return False
 
-    def _flush_locked(self) -> int:
-        if not self._queue:
-            return 0
-        batch, self._queue = self._queue, []
-        self._pending_pairs = 0
-        self._oldest = None
-
+    def _run(self, batch: List[_Request]) -> None:
+        """Compute one dequeued batch (engine lock held, batcher lock not)."""
         # deadline-expired requests are dropped before any compute: their
         # caller already gave up on the budget, so embedding them would only
         # steal batch capacity from requests that can still meet their SLO.
@@ -371,7 +454,7 @@ class MicroBatcher:
             else:
                 live.append(req)
         if not live:
-            return len(batch)
+            return
 
         lefts = np.concatenate([r.left for r in live])
         rights = np.concatenate([r.right for r in live])
@@ -379,12 +462,11 @@ class MicroBatcher:
         started = now
         try:
             with span("micro_batch", requests=len(live), pairs=int(len(lefts))):
-                with self._engine_lock:
-                    # one fused BatchPrep preparation over every endpoint of
-                    # every queued pair — dedup/memoization amortize across
-                    # all clients in the batch
-                    h_left, h_right = self.engine.embed_pairs(lefts, rights, times)
-                    scores = self.engine.decoder(Tensor(h_left), Tensor(h_right)).data
+                # one fused BatchPrep preparation over every endpoint of
+                # every queued pair — dedup/memoization amortize across all
+                # clients in the batch
+                h_left, h_right = self.engine.embed_pairs(lefts, rights, times)
+                scores = self.engine.decoder(Tensor(h_left), Tensor(h_right)).data
         except Exception as exc:
             # deliver the failure to every waiter — the batch was already
             # dequeued, so swallowing it here would strand them forever
@@ -393,7 +475,7 @@ class MicroBatcher:
                 req.result._fail(exc, now)
             self.stats.flushes += 1
             self.stats.failed_flushes += 1
-            return len(batch)
+            return
         now = self.clock()
         self.flush_ewma = (
             max(0.0, now - started)
@@ -409,4 +491,3 @@ class MicroBatcher:
             req.result._fulfill(out, now)
             self.latency.record(max(0.0, now - req.result.submitted_at))
         self.stats.flushes += 1
-        return len(batch)

@@ -41,9 +41,9 @@ gives both fleets:
   cancelled *before* it reaches an engine.  Hedged and unhedged answers
   are bitwise-identical because micro-batch composition is the only
   arithmetic variable and a singleton is a singleton on any replica (dedup
-  computes each unique (node, time) once either way; a deadline flush that
+  computes each unique (node, time) once either way; a polled flush that
   splits a batch differently can move scores by an ulp on either fleet —
-  a property of deadline batching, not of the topology);
+  a property of load-following batching, not of the topology);
 * **elasticity** — :meth:`~ServingCluster.add_replica` /
   :meth:`~ServingCluster.remove_replica` grow and shrink the fleet under
   live traffic (a :class:`repro.serve.ReplicaAutoscaler` drives them);
@@ -69,7 +69,13 @@ from ..infer.engine import InferenceEngine, InferenceStats
 from ..models.decoders import LinkPredictor
 from ..models.tgn import TGN
 from ..obs import get_registry, span
-from .batcher import DeadlineExceeded, MicroBatcher, PendingResult, check_request
+from .batcher import (
+    DEFAULT_MAX_DELAY,
+    DeadlineExceeded,
+    MicroBatcher,
+    PendingResult,
+    check_request,
+)
 from .ingest import (
     EventLog,
     load_state,
@@ -107,8 +113,8 @@ class FrontRequest:
 
     Mirrors the :class:`PendingResult` surface (``done`` / ``value`` /
     ``wait`` / ``latency``) so callers are agnostic to hedging and to the
-    fleet.  ``wait`` drives :meth:`ServingCluster.poll`, which meets batcher
-    deadlines, pumps and heals process replicas, and dispatches hedges — a
+    fleet.  ``wait`` drives :meth:`ServingCluster.poll`, which flushes due
+    micro-batches, pumps and heals process replicas, and dispatches hedges — a
     fleet of blocked clients keeps the whole front door making progress.
     """
 
@@ -176,7 +182,7 @@ class FrontRequest:
         deadline = None if timeout is None else time.monotonic() + timeout
         while not self._try_settle():
             if drive:
-                self._cluster.poll()
+                self._cluster.poll(until=self._ready)
             if self._event.wait(timeout=1e-4):
                 break
             if deadline is not None and time.monotonic() > deadline:
@@ -186,6 +192,20 @@ class FrontRequest:
         return self._value
 
     # -------------------------------------------------------------- settle
+    def _ready(self) -> bool:
+        """Whether the request can settle: a lane succeeded, or every lane
+        failed.  Lock-free, so a batcher may ask it under the fleet lock
+        (:meth:`_try_settle` takes the front-door lock, which comes first)."""
+        prim, hedge = self._primary, self._hedge
+        if self._settled:
+            return True
+        if prim is None:
+            return False
+        if any(lane is not None and lane.done and lane._error is None
+               for lane in (prim, hedge)):
+            return True  # a lane won
+        return prim.done and (hedge is None or hedge.done)  # every lane failed
+
     def _try_settle(self) -> bool:
         """Resolve the race between the primary and its hedge exactly once.
 
@@ -197,8 +217,8 @@ class FrontRequest:
         with cluster._lock:
             if self._settled:
                 return True
-            if self._primary is None:
-                return False  # dispatch still in flight on the submitter
+            if not self._ready():
+                return False  # dispatch in flight, or a lane can still succeed
             winner = loser = None
             hedge_won = False
             for cand, is_hedge in ((self._primary, False), (self._hedge, True)):
@@ -208,8 +228,6 @@ class FrontRequest:
                     break
             if winner is None:
                 prim, hedge = self._primary, self._hedge
-                if not prim.done or (hedge is not None and not hedge.done):
-                    return False  # a lane can still succeed
                 self._error = prim._error if not prim.cancelled else hedge._error
                 self.completed_at = prim.completed_at
             else:
@@ -273,8 +291,8 @@ class ServingReplica:
     def estimate_wait(self) -> float:
         return self.batcher.estimate_wait()
 
-    def poll(self) -> int:
-        return self.batcher.poll()
+    def poll(self, until: Optional[Callable[[], bool]] = None) -> int:
+        return self.batcher.poll(until)
 
     def flush(self) -> int:
         return self.batcher.flush()
@@ -412,6 +430,12 @@ class ServingCluster:
     max_batch_pairs / max_delay / clock:
         Per-replica micro-batcher tuning (see :class:`MicroBatcher`);
         ``clock`` is the front-door clock (latency, deadlines, hedge delay).
+        The default ``max_delay`` of 0
+        (:data:`~repro.serve.batcher.DEFAULT_MAX_DELAY`) makes
+        work-conserving replicas that flush whatever is queued whenever they
+        are polled, so batch size follows load.  Pass a window to hold
+        work for larger batches, or a very large one to pin batch
+        composition to explicit :meth:`flush_all` calls.
     histogram_cap:
         Reservoir cap for the latency histograms (bounds sample memory
         under sustained traffic; ``None`` keeps the :mod:`repro.obs.metrics`
@@ -448,7 +472,7 @@ class ServingCluster:
         policy: str = "round_robin",
         admission_limit: Optional[int] = None,
         max_batch_pairs: int = 256,
-        max_delay: float = 2e-3,
+        max_delay: float = DEFAULT_MAX_DELAY,
         clock: Callable[[], float] = time.perf_counter,
         dedup: bool = True,
         memoize_time: bool = True,
@@ -675,8 +699,10 @@ class ServingCluster:
         """Seconds in flight before a request is hedged (``None`` = off).
 
         Reads the configured quantile from the front-door latency
-        reservoir; falls back to the batcher deadline while the reservoir
-        is cold so early traffic neither hedges instantly nor never.
+        reservoir; while the reservoir is cold it falls back to the batcher
+        window, floored at ``hedge_min_delay`` (the floor alone under the
+        default window of 0), so early traffic neither hedges instantly
+        nor never.
         """
         if self.hedge_quantile is None:
             return None
@@ -750,13 +776,22 @@ class ServingCluster:
     def pending_requests(self) -> int:
         return sum(rep.load for rep in self.replicas)
 
-    def poll(self) -> int:
-        """Drive the cluster: batcher deadlines (threads) / result frames
+    def poll(self, until: Optional[Callable[[], bool]] = None) -> int:
+        """Drive the cluster: due micro-batches (threads) / result frames
         and dead-slot recovery (processes), hedges, settlement.
 
+        ``until`` is a waiting client's own completion test: the pass stops
+        as soon as it holds (checked after each replica, and by each
+        replica's batcher once the engine lock is free), so a client stops
+        driving the moment its answer is ready instead of computing other
+        clients' batches.
         Returns the number of requests flushed.
         """
-        flushed = sum(rep.poll() for rep in self.replicas)
+        flushed = 0
+        for rep in self.replicas:
+            flushed += rep.poll(until)
+            if until is not None and until():
+                return flushed
         if self._draining:
             flushed += self._fleet.flush(list(self._draining))
         self._sweep()
@@ -775,8 +810,9 @@ class ServingCluster:
         of replica 0's arrays, or one more reader of the shared segment) and
         answering on the current model version immediately."""
         # front-door lock first, fleet lock second — the order every other
-        # path takes them in (a submit may hold a batcher lock and wait for
-        # the engine lock, never the reverse)
+        # path takes them in (a flush holds the fleet lock and takes a
+        # batcher lock only to dequeue; nothing holding the fleet lock waits
+        # for the front-door lock)
         with self._lock, self._fleet.lock:
             rep = self._fleet.spawn()
             self.replicas.append(rep)
@@ -819,8 +855,9 @@ class ServingCluster:
         """Load new model/decoder weights into the live fleet in place.
 
         Queued work is flushed against the old weights first (outside the
-        fleet lock — a flush takes batcher locks, and those come before
-        it), then the fleet delivers the blobs to every replica.  Serving
+        fleet lock — :meth:`flush_all` settles requests under the front-door
+        lock, which comes before it), then the fleet delivers the blobs to
+        every replica.  Serving
         memory/mailbox state carries across — a swap changes the *model*,
         not the streamed history.
         """

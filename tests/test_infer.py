@@ -3,8 +3,11 @@ streaming observe(), and the serving APIs."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.infer import InferenceEngine, InferenceStats
+from repro.infer.engine import unique_queries
 from repro.models import TGN, LinkPredictor, TGNConfig
 
 from helpers import toy_dataset
@@ -223,3 +226,43 @@ class TestObserveAppendsToGraph:
         eng.observe(g.src[:10], g.dst[:10], g.timestamps[:10],
                     edge_feats=g.edge_feats[:10])
         assert g.num_events == e0
+
+
+@st.composite
+def _query_rows(draw):
+    """(node, time) rows with heavy duplication: few nodes, few distinct
+    times shared across nodes, down to a single row."""
+    n = draw(st.integers(1, 60))
+    n_nodes = draw(st.integers(1, 8))
+    pool = draw(st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=5,
+    ))
+    nodes = draw(st.lists(st.integers(0, n_nodes - 1), min_size=n, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    return (np.asarray(nodes, dtype=np.int64),
+            np.asarray([pool[i] for i in picks], dtype=np.float64))
+
+
+class TestUniqueQueries:
+    @settings(max_examples=300, deadline=None)
+    @given(_query_rows())
+    def test_matches_unique_over_rows(self, rows):
+        nodes, times = rows
+        keys = np.stack([nodes.astype(np.float64), times], axis=1)
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        q_nodes, q_times, q_inverse = unique_queries(nodes, times)
+        # the same rows, in the same order, with the same inverse
+        np.testing.assert_array_equal(q_nodes, uniq[:, 0].astype(np.int64))
+        np.testing.assert_array_equal(q_times, uniq[:, 1])
+        np.testing.assert_array_equal(q_inverse, inverse.reshape(-1))
+        assert q_nodes.dtype == np.int64 and q_times.dtype == np.float64
+        np.testing.assert_array_equal(q_nodes[q_inverse], nodes)
+        np.testing.assert_array_equal(q_times[q_inverse], times)
+
+    def test_one_row(self):
+        q_nodes, q_times, inverse = unique_queries(
+            np.array([4], dtype=np.int64), np.array([2.5])
+        )
+        assert q_nodes.tolist() == [4] and q_times.tolist() == [2.5]
+        assert inverse.tolist() == [0]

@@ -298,3 +298,60 @@ class TestSnapshotParity:
             snap = live.save(tmp_path / "snap.npz")
             with pytest.raises(ValueError, match="pristine"):
                 live.restore(snap)
+
+
+class TestWorkerLoop:
+    def test_frames_waiting_before_a_poll_become_one_flush(self, fitted_session):
+        """The replica loop reads every frame already waiting before it
+        polls its batcher, so at window 0 a burst is one batch, not one
+        flush per request."""
+        import threading
+
+        from repro.runtime.serving import serve_worker
+        from repro.runtime.sharedmem import create_group_states
+        from repro.runtime.transport import pipe_channel_pair
+
+        sess = fitted_session
+        graph = sess.graph.slice_events(sess.trainer.split.train)
+        (state,) = create_group_states(
+            1, num_nodes=graph.num_nodes, memory_dim=sess.model.config.memory_dim,
+            edge_dim=graph.edge_dim, name_prefix="repro-serve",
+        )
+        parent, child = pipe_channel_pair(30.0)
+        plan = request_plan(graph, n_requests=5)
+        # queued in the pipe before the worker exists, so all are waiting
+        # by the time its loop first looks
+        for rid, (src, candidates, at_time) in enumerate(plan):
+            parent.send(
+                "rank", meta={"req_id": rid, "src": src, "at_time": at_time},
+                arrays={"candidates": candidates},
+            )
+        worker = threading.Thread(
+            target=serve_worker, args=(0, child), daemon=True,
+            kwargs=dict(
+                config_dict=sess.config.to_dict(),
+                shared_spec=state.spec.to_dict(),
+                serve_meta={
+                    "max_batch_pairs": 10 ** 6, "max_delay": 0.0,
+                    "dedup": True, "memoize_time": True,
+                    "_model_blob": sess.model.to_bytes(),
+                    "_decoder_blob": sess.decoder.to_bytes(),
+                },
+            ),
+        )
+        worker.start()
+        try:
+            parent.expect("ready", timeout=60.0)
+            answers = [parent.recv(timeout=30.0) for _ in plan]
+            assert [f.tag for f in answers] == ["result"] * len(plan)
+            assert sorted(f.meta["req_id"] for f in answers) == list(range(len(plan)))
+            parent.send("stats")
+            stats = parent.expect("stats_ack", timeout=30.0).meta
+            assert stats["requests"] == len(plan)
+            assert stats["flushes"] == 1
+        finally:
+            parent.send("stop")
+            worker.join(timeout=30.0)
+            state.close()
+            state.unlink()
+        assert not worker.is_alive()

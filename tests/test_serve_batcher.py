@@ -2,6 +2,7 @@
 thread-safe waiting."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -188,3 +189,138 @@ class TestThreading:
         assert sorted(results) == [0, 1, 2, 3]
         assert all(r.shape == (4,) for r in results.values())
         assert b.stats.flushes >= 1
+
+
+class TestWorkConserving:
+    """The default window is 0: a poll that finds queued work flushes it, and
+    a batch computing on the engine never blocks new submissions."""
+
+    def test_default_window_is_the_serve_config_default_of_zero(self):
+        from repro.api.config import ServeConfig
+        from repro.serve import ServingCluster
+
+        engine, g, sg = build_engine()
+        model, decoder = engine.model, engine.decoder
+        assert ServeConfig().max_delay_ms == 0.0
+        assert MicroBatcher(engine).max_delay == 0.0
+        cluster = ServingCluster(model, sg, decoder, k=1)
+        assert cluster.replicas[0].batcher.max_delay == 0.0
+
+    def test_first_poll_flushes_at_window_zero(self):
+        engine, g, sg = build_engine()
+        clk = FakeClock()   # never advanced: no time has to pass
+        b = MicroBatcher(engine, max_batch_pairs=10 ** 6, clock=clk)
+        t = sg.max_time + 1.0
+        h1 = b.submit_rank(int(g.src[0]), np.arange(12, 16), t)
+        h2 = b.submit_rank(int(g.src[1]), np.arange(14, 18), t)
+        assert b.time_to_flush() == 0.0
+        assert b.poll() == 2 and h1.done and h2.done
+        assert b.stats.flushes == 1 and b.stats.deadline_flushes == 1
+        assert b.poll() == 0 and b.time_to_flush() is None
+
+    def test_an_explicit_window_still_holds_work(self):
+        engine, g, sg = build_engine()
+        clk = FakeClock()
+        b = MicroBatcher(engine, max_batch_pairs=10 ** 6, max_delay=0.5, clock=clk)
+        h = b.submit_rank(int(g.src[0]), np.arange(12, 16), sg.max_time + 1.0)
+        clk.advance(0.2)
+        assert b.time_to_flush() == pytest.approx(0.3)
+        assert b.poll() == 0 and not h.done
+        clk.advance(0.3)
+        assert b.poll() == 1 and h.done
+
+    def test_a_request_submitted_while_a_batch_computes_joins_the_next(self):
+        engine, g, sg = build_engine()
+        real_embed = engine.embed_pairs
+        batches, entered, gate = [], threading.Event(), threading.Event()
+
+        def gated_embed(lefts, rights, times):
+            batches.append(len(lefts))
+            entered.set()
+            assert gate.wait(10.0)
+            return real_embed(lefts, rights, times)
+
+        engine.embed_pairs = gated_embed
+        b = MicroBatcher(engine, max_batch_pairs=10 ** 6, max_delay=0.0)
+        b.flush_ewma = 0.01
+        t = sg.max_time + 1.0
+        h1 = b.submit_rank(int(g.src[0]), np.arange(12, 16), t)
+        flusher = threading.Thread(target=b.poll)
+        flusher.start()
+        assert entered.wait(10.0)
+        seen = {}
+
+        def submitter():
+            seen["handle"] = b.submit_rank(int(g.src[1]), np.arange(14, 18), t)
+            seen["wait"] = b.estimate_wait()
+
+        sub = threading.Thread(target=submitter)
+        sub.start()
+        sub.join(timeout=2.0)
+        try:
+            # neither submit nor the admission estimate waits for the compute
+            assert not sub.is_alive(), "submit blocked behind a computing flush"
+            h2 = seen["handle"]
+            assert not h2.done and b.pending_requests == 1
+            # the queued batch (4 of 10**6 pairs) plus the one on the engine
+            assert seen["wait"] == pytest.approx(0.01 * (2.0 + 4 / 10 ** 6))
+        finally:
+            gate.set()
+            flusher.join(timeout=10.0)
+            sub.join(timeout=10.0)
+        assert h1.done and not h2.done
+        assert b.poll() == 1 and h2.done
+        assert batches == [4, 4] and b.stats.flushes == 2
+        assert b.estimate_wait() == pytest.approx(b.flush_ewma)
+
+    def test_a_waiter_answered_while_it_waits_for_the_engine_computes_nothing(self):
+        """A client blocked on the engine lock behind the batch that holds
+        its request returns once that batch lands; the request queued
+        meanwhile is left to its own client."""
+        engine, g, sg = build_engine()
+        real_embed = engine.embed_pairs
+        batches, entered, gate = [], threading.Event(), threading.Event()
+
+        def gated_embed(lefts, rights, times):
+            batches.append(len(lefts))
+            entered.set()
+            assert gate.wait(10.0)
+            return real_embed(lefts, rights, times)
+
+        engine.embed_pairs = gated_embed
+        b = MicroBatcher(engine, max_batch_pairs=10 ** 6, max_delay=0.0)
+        t = sg.max_time + 1.0
+        h1 = b.submit_rank(int(g.src[0]), np.arange(12, 16), t)
+        flusher = threading.Thread(target=b.flush)
+        flusher.start()
+        assert entered.wait(10.0)
+        h2 = b.submit_rank(int(g.src[1]), np.arange(14, 18), t)
+        waiter = threading.Thread(target=h1.wait, kwargs={"timeout": 10.0})
+        waiter.start()
+        time.sleep(0.05)   # the waiter's poll is now blocked on the engine lock
+        gate.set()
+        flusher.join(timeout=10.0)
+        waiter.join(timeout=10.0)
+        assert not waiter.is_alive() and h1.done
+        assert not h2.done and b.pending_requests == 1
+        assert batches == [4]
+        assert b.poll() == 1 and h2.done
+
+    def test_a_cluster_waiter_stops_driving_once_answered(self):
+        """``FrontRequest.wait`` stops its poll pass at the replica that
+        answered it instead of computing the next replica's batch."""
+        from repro.serve import ServingCluster
+
+        engine, g, sg = build_engine()
+        cluster = ServingCluster(
+            engine.model, sg, engine.decoder, k=2, max_batch_pairs=10 ** 6
+        )
+        t = sg.max_time + 1.0
+        first = cluster.submit_rank(int(g.src[0]), np.arange(12, 16), t)
+        second = cluster.submit_rank(int(g.src[1]), np.arange(14, 18), t)
+        assert first._primary_index == 0 and second._primary_index == 1
+        first.wait(timeout=10.0)
+        assert not second.done
+        assert [rep.batcher.pending_requests for rep in cluster.replicas] == [0, 1]
+        second.wait(timeout=10.0)
+        assert cluster.stats.completed == 2
