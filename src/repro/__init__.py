@@ -42,7 +42,8 @@ Every ``Session`` can execute on two engines with **identical results**:
   synchronized per step over wire collectives.  Both backends implement one
   gradient-reduction contract (``repro.parallel.TermGradAccumulator``), so
   the loss trajectory and metrics match **bitwise**, while multi-core hosts
-  get real parallel speedup (``python -m repro.cli runtime-bench``).
+  get real parallel speedup (measured by ``python3 bench/run.py``'s
+  ``minibatch_2x1x1`` and ``memepoch_1x2x2`` workloads).
 * ``sess.serve(replicas=k, process_replicas=True)`` — the same
   ``ServingCluster`` front door over a fleet of worker processes: each owns
   a model copy (true compute parallelism), all share one node-memory
@@ -77,8 +78,8 @@ subprocesses itself (no shells needed) — that is also how the tests and
 paper's §3.2.3 rule: ``machines`` must divide ``k`` so a memory group
 never spans hosts — node memory syncs inside a machine only, gradients
 alone cross machines, through the group leaders' ``star``/``ring``/
-``tree`` collective (``TrainConfig.topology``; ``runtime-bench
---topology`` measures the sync-time difference, results stay bitwise).
+``tree`` collective (``TrainConfig.topology``; results stay bitwise, and
+``python3 bench/run.py`` reports each topology's ``runtime.allreduce_us``).
 The rendezvous controller heartbeats every agent; a silent or dead host
 surfaces as a ``WorkerFailure``, and under a ``RecoveryPolicy`` budget the
 supervisor re-rendezvouses a replacement agent, respawns the lost ranks
@@ -154,10 +155,11 @@ all scriptable from the one cluster object, whichever replica fleet
       report = learner.maybe_refit()      # drains WAL, refits, hot-swaps
       assert report.verified              # bitwise vs. fresh load
 
-``python -m repro.cli serve-bench --closed-loop`` drives all three at once
-— sustained load, rolling hot-swaps, a replica SIGKILL — and gates on
-scale-ups, verified swaps, zero parity violations and hedging beating p99
-(report: ``BENCH_serving_elastic.json``).
+``python -m repro.cli serve-bench`` drives all three at once — sustained
+load, rolling hot-swaps, a replica SIGKILL — and gates on scale-ups,
+verified swaps, zero parity violations and hedging beating p99 (``--report
+PATH`` writes the JSON report).  Serving throughput and latency numbers
+come from ``python3 bench/run.py``.
 
 Testing & fault-injection guide
 -------------------------------
@@ -229,8 +231,8 @@ tracer, ``recovery/*`` counts restarts/rollback depth/respawn latency,
 ``serve/*`` is exported by ``ServingCluster.export_metrics()`` — and
 every counter/gauge/histogram snapshot merges across processes
 (histograms are bounded uniform reservoirs, so long runs stay
-memory-safe).  ``runtime-bench`` and ``perf-bench`` source their
-per-phase columns from this telemetry rather than ad-hoc timers.
+memory-safe).  ``python3 bench/run.py`` sources its per-phase shares
+(``obs.phase_share.*``) from this telemetry rather than ad-hoc timers.
 
 Step compiler
 -------------

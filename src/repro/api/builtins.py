@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from functools import partial
 
-from ..data.datasets import PAPER_TABLE2, load_dataset
+from ..data import (
+    PAPER_TABLE2,
+    Dataset,
+    InteractionModel,
+    PaperStats,
+    generate_interaction_graph,
+    load_dataset,
+)
 from ..graph.sampler import RecentNeighborSampler
 from ..models.memory_updater import GRUMemoryUpdater, TransformerMemoryUpdater
 from ..models.tgn import TGN
@@ -29,19 +36,27 @@ for _name in PAPER_TABLE2:
 
 @register_dataset("hotpath")
 def _hotpath_dataset(scale: float = 0.01, seed: int = 0):
-    """The hot-path benchmark graph (perf-bench / runtime-bench workload).
+    """A small dense link-prediction graph: 110 nodes, 8-d edge features.
 
-    Registered so a declarative config can name it — the process runtime's
-    workers rebuild their dataset from the config, and the scaling bench
-    must measure the same workload the hot-path bench does.  ``scale``
-    maps to the event count the same way the Table-2 generators scale
-    (0.01 -> 2400 events).
+    The graph the ``bench/run.py`` workloads train on (``python3
+    bench/run.py`` is where this repo's numbers come from).  Registered so
+    a declarative config can name it — the process runtime's workers
+    rebuild their dataset from the config.  ``scale`` maps to the event
+    count the same way the Table-2 generators scale (0.01 -> 2400 events).
     """
-    from ..perf import _make_dataset
-
-    return _make_dataset(
-        num_events=max(400, int(round(240_000 * scale))), edge_dim=8, seed=seed
+    num_events = max(400, int(round(240_000 * scale)))
+    model = InteractionModel(
+        num_src=60,
+        num_dst=50,
+        num_events=num_events,
+        edge_dim=8,
+        p_repeat=0.6,
+        num_communities=4,
+        seed=seed,
     )
+    graph = generate_interaction_graph(model, name="hotpath")
+    paper = PaperStats(model.num_nodes, num_events, 100.0, 100, 8, True, True, "link")
+    return Dataset("hotpath", graph, paper, "link")
 
 # -------------------------------------------------------------------- models
 register_model("tgn", TGN)

@@ -29,16 +29,11 @@ resume      continue an interrupted ``train --checkpoint-dir`` run from its
 plan        run the §3.2.4 planner for a cluster + dataset
 stats       print Table-2-style statistics of a generated dataset
 throughput  model Fig-12-style throughput for a system / configuration
-serve-bench train briefly, then load-test the replicated serving cluster
-            (micro-batching + streaming ingestion) and report QPS, p50/p99
-            latency, dedup ratio and shed counts per replica count
-perf-bench  measure hot-path throughput (train step / eval sweep / serve
-            batch) with the fused execution layer vs. the legacy path and
-            write BENCH_hotpath.json
-runtime-bench  process-backend step throughput at 1/2/4 workers and write
-            BENCH_runtime.json (``--trace-dir`` keeps the per-rank span
-            traces; phase columns come from the telemetry; ``--topology``
-            selects the allreduce wiring — star, ring or tree)
+serve-bench the elastic serving drill: train briefly, then drive a threaded
+            and a process replica fleet through autoscaling, continual
+            refit + hot swaps, hedging and a replica SIGKILL, check every
+            response bytewise against a reference, and exit non-zero on
+            any failed gate (``--report`` writes the JSON report)
 trace       merge + summarize a span-trace directory: per-lane phase
             breakdown, sync fraction, recovery timeline
 chaos       seeded randomized fault-injection matrix: draw N random fault
@@ -47,9 +42,12 @@ chaos       seeded randomized fault-injection matrix: draw N random fault
             differential recovery oracle, and fail loudly — with the
             reproducing seed — on any non-bitwise recovery
 
-Dataset and routing-policy choices come from the ``repro.api`` registries,
-so components added with ``@register_dataset`` / ``@register_router`` show
-up in ``--help`` automatically.
+Dataset choices come from the ``repro.api`` registry, so datasets added with
+``@register_dataset`` show up in ``--help`` automatically.
+
+Performance numbers (training and evaluation throughput, serving latency,
+ingest rate, the per-layer ladder) come from one place, ``python3
+bench/run.py`` at the repo root, not from this CLI.
 """
 
 from __future__ import annotations
@@ -66,10 +64,9 @@ from .api.config import (
     ExperimentConfig,
     ModelConfig,
     ObsConfig,
-    ServeConfig,
     TrainConfig,
 )
-from .api.registry import DATASETS, ROUTERS
+from .api.registry import DATASETS
 from .api.session import Session
 from .data import PAPER_TABLE2
 from .parallel import HardwareSpec, ParallelConfig, plan_for_graph
@@ -132,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     datasets = DATASETS.available()
-    policies = ROUTERS.available()
 
     p_train = sub.add_parser("train", help="train a TGN under an i x j x k config")
     p_train.add_argument("--dataset", choices=datasets, default="wikipedia")
@@ -235,100 +231,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_tput)
 
     p_serve = sub.add_parser(
-        "serve-bench", help="load-test the replicated serving cluster"
-    )
-    p_serve.add_argument("--dataset", choices=datasets, default="wikipedia")
-    p_serve.add_argument("--scale", type=float, default=0.01)
-    p_serve.add_argument("--train-epochs", type=int, default=2)
-    p_serve.add_argument("--memory-dim", type=int, default=16)
-    p_serve.add_argument(
-        "--replicas", default="1,2",
-        help="comma-separated replica counts to benchmark (default '1,2')",
-    )
-    p_serve.add_argument("--policy", choices=policies, default="round_robin")
-    p_serve.add_argument("--mode", choices=["closed", "open"], default="closed")
-    p_serve.add_argument("--clients", type=int, default=8)
-    p_serve.add_argument("--requests", type=int, default=25,
-                         help="requests per client (closed) / per 'client' row (open)")
-    p_serve.add_argument("--target-qps", type=float, default=500.0)
-    p_serve.add_argument("--candidates", type=int, default=20)
-    p_serve.add_argument("--max-batch", type=int, default=256,
-                         help="micro-batch size trigger in (src, dst) pairs")
-    p_serve.add_argument(
-        "--max-delay-ms", type=float, default=ServeConfig.max_delay_ms,
-        help="micro-batch window: a poll flushes once the oldest queued "
-             "request is this old (default %(default)s: work-conserving, "
-             "flush whatever is queued; raise it to hold work for larger "
-             "batches)",
-    )
-    p_serve.add_argument("--admission", type=int, default=None,
-                         help="cluster-wide queued-request limit (shed beyond)")
-    p_serve.add_argument("--stream-chunk", type=int, default=100,
-                         help="events ingested per streaming batch while serving")
-    p_serve.add_argument("--snapshot", default=None,
-                         help="path to save a serving snapshot after the run")
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument("--quiet", action="store_true")
-    p_serve.add_argument(
-        "--closed-loop", action="store_true",
-        help="run the elastic closed-loop bench instead of the load sweep: "
-             "autoscaling + continual refit/hot-swap + hedging + a replica "
-             "SIGKILL, every response checked bitwise (emits "
-             "BENCH_serving_elastic.json)",
+        "serve-bench",
+        help="elastic serving drill: autoscale, hot swaps, hedging and a "
+             "replica SIGKILL, every response checked bytewise",
     )
     p_serve.add_argument("--ticks", type=int, default=6,
-                         help="closed-loop: load bursts to run")
+                         help="load bursts to run")
     p_serve.add_argument("--burst", type=int, default=12,
-                         help="closed-loop: requests per burst")
-    p_serve.add_argument("--report", default="BENCH_serving_elastic.json",
-                         help="closed-loop: where the JSON report lands")
+                         help="requests per burst")
+    p_serve.add_argument("--report", default=None, metavar="PATH",
+                         help="write the JSON report here")
     p_serve.add_argument("--no-process-stage", action="store_true",
-                         help="closed-loop: skip the process-cluster/SIGKILL "
-                              "stage (threaded + hedging only)")
+                         help="skip the process-fleet/SIGKILL stage "
+                              "(threaded + hedging only)")
+    p_serve.add_argument("--quiet", action="store_true")
     _add_config_flags(p_serve)
-
-    p_rt = sub.add_parser(
-        "runtime-bench",
-        help="process-backend step throughput at 1/2/4 workers "
-             "(emits BENCH_runtime.json)",
-    )
-    p_rt.add_argument("--workers", default="1,2,4",
-                      help="comma-separated worker counts (default '1,2,4')")
-    p_rt.add_argument("--steps", type=int, default=30,
-                      help="training iterations per measured point")
-    p_rt.add_argument("--batch-size", type=int, default=100,
-                      help="local batch per worker (weak scaling)")
-    p_rt.add_argument("--topology", choices=["star", "ring", "tree"],
-                      default="star",
-                      help="gradient-allreduce wiring for the swept worker "
-                           "counts; the report also records a ring-vs-star "
-                           "comparison at the largest count")
-    p_rt.add_argument("--seed", type=int, default=0)
-    p_rt.add_argument("--out", default=None,
-                      help="report path (default: BENCH_runtime.json at repo root)")
-    p_rt.add_argument("--trace-dir", default=None, metavar="DIR",
-                      help="keep each point's span traces under DIR/w<n>/ "
-                           "(default: a discarded temporary directory)")
-    _add_config_flags(p_rt)
-
-    p_perf = sub.add_parser(
-        "perf-bench", help="hot-path throughput: fused execution layer vs legacy"
-    )
-    p_perf.add_argument("--events", type=int, default=2400,
-                        help="synthetic events in the benchmark graph")
-    p_perf.add_argument("--edge-dim", type=int, default=8)
-    p_perf.add_argument("--train-steps", type=int, default=50)
-    p_perf.add_argument("--eval-sweeps", type=int, default=2)
-    p_perf.add_argument("--serve-requests", type=int, default=40)
-    p_perf.add_argument("--out", default=None,
-                        help="report path (default: BENCH_hotpath.json at repo root)")
-    p_perf.add_argument("--seed", type=int, default=0)
-    _add_config_flags(p_perf)
 
     p_trace = sub.add_parser(
         "trace",
         help="merge + summarize a span-trace directory "
-             "(written by train/runtime-bench with telemetry enabled)",
+             "(written by train --trace-dir or REPRO_TRACE_DIR)",
     )
     p_trace.add_argument("--dir", required=True, metavar="DIR",
                          help="trace directory holding trace-*.jsonl lane "
@@ -390,28 +312,8 @@ def _experiment_from_train_args(args) -> ExperimentConfig:
     )
 
 
-def _experiment_from_serve_args(args, first_replicas: int) -> ExperimentConfig:
-    if isinstance(args.config, ExperimentConfig):
-        return args.config
-    md = args.memory_dim
-    return ExperimentConfig(
-        data=DataConfig(dataset=args.dataset, scale=args.scale, seed=args.seed),
-        model=ModelConfig(memory_dim=md, embed_dim=md, time_dim=max(8, md // 2)),
-        parallel=args.config,
-        train=TrainConfig(epochs=args.train_epochs, batch_size=100, seed=args.seed),
-        serve=ServeConfig(
-            replicas=first_replicas,
-            policy=args.policy,
-            admission_limit=args.admission,
-            max_batch_pairs=args.max_batch,
-            max_delay_ms=args.max_delay_ms,
-            stream_chunk=args.stream_chunk,
-        ),
-    )
-
-
 def _experiment_from_misc_args(args) -> ExperimentConfig:
-    """plan/stats/throughput/perf-bench: only some sections are meaningful,
+    """plan/stats/throughput: only some sections are meaningful,
     but --dump-config still emits a complete, loadable document."""
     if isinstance(args.config, ExperimentConfig):
         return args.config
@@ -576,170 +478,46 @@ def cmd_throughput(args) -> int:
 
 
 def cmd_serve_bench(args) -> int:
-    from .serve import LoadReport, LoadSpec, run_load
+    from .serve.bench import default_config, run_elastic_bench
 
-    if args.closed_loop:
-        from .serve.bench import run_elastic_bench
-
-        cfg = args.config if isinstance(args.config, ExperimentConfig) else None
-        if cfg is not None and _maybe_dump(args, cfg):
-            return 0
-        report = run_elastic_bench(
-            cfg,
-            ticks=args.ticks,
-            burst=args.burst,
-            process_stage=not args.no_process_stage,
-            out=args.report,
-            verbose=not args.quiet,
-        )
-        t = report["threaded"]
-        print(
-            f"threaded: {t['requests']} requests, {t['violations']} violations, "
-            f"{t['scale_ups']} up / {t['scale_downs']} down, "
-            f"{t['hot_swaps']} hot-swaps "
-            f"(p99 {t['latency_ms']['p99']:.2f} ms)"
-        )
-        h = report["hedging"]
-        print(
-            f"hedging: p99 {h['off']['p99']:.2f} -> {h['on']['p99']:.2f} ms "
-            f"({h['on']['hedge_rate']:.0%} hedged)"
-        )
-        if "process" in report:
-            p = report["process"]
-            print(
-                f"process: {p['requests']} requests, {p['violations']} "
-                f"violations, {p['recoveries']} recoveries, "
-                f"{p['hot_swaps']} hot-swaps"
-            )
-        gates = " ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in report["ok"].items())
-        print(f"gates: {gates}")
-        print(f"report written to {args.report}")
-        return 0 if report["passed"] else 1
-
-    try:
-        replica_counts = [int(part) for part in str(args.replicas).split(",") if part]
-    except ValueError:
-        print(f"invalid --replicas {args.replicas!r}; expected e.g. '1,2'")
-        return 2
-    if not replica_counts or min(replica_counts) < 1:
-        print("--replicas needs at least one positive count")
-        return 2
-
-    cfg = _experiment_from_serve_args(args, first_replicas=replica_counts[0])
+    if isinstance(args.config, ExperimentConfig):
+        cfg = args.config
+    else:
+        cfg = dataclasses.replace(default_config(), parallel=args.config)
     if _maybe_dump(args, cfg):
         return 0
-
-    sess = Session(cfg)
-    sess.fit(verbose=not args.quiet)
-
-    load = LoadSpec(
-        num_clients=args.clients,
-        requests_per_client=args.requests,
-        mode=args.mode,
-        target_qps=args.target_qps,
-        candidates_per_request=args.candidates,
-        seed=cfg.data.seed,
+    report = run_elastic_bench(
+        cfg,
+        ticks=args.ticks,
+        burst=args.burst,
+        process_stage=not args.no_process_stage,
+        out=args.report,
+        verbose=not args.quiet,
     )
-    rows = []
-    last_cluster = None
-    for k in replica_counts:
-        # each run serves a fresh copy of the training slice, which streamed
-        # val events are appended to (keeps the dataset's graph pristine)
-        cluster = sess.serve(replicas=k)
-        stream = sess.held_out_stream()
-        report = run_load(cluster, load, stream=stream)
-        rows.append(report.row(f"k={k} {cfg.serve.policy} {args.mode}"))
-        last_cluster = cluster
-        if not args.quiet:
-            print(
-                f"k={k}: {report.completed} served, {report.shed} shed, "
-                f"{report.qps:.0f} qps, p50 {report.p50 * 1e3:.2f} ms, "
-                f"p99 {report.p99 * 1e3:.2f} ms, dedup {report.dedup_ratio:.1%}, "
-                f"memo {report.memo_ratio:.1%}"
-            )
-    print(format_table(LoadReport.ROW_HEADERS, rows))
-    if args.snapshot and last_cluster is not None:
-        path = last_cluster.save(args.snapshot)
-        print(f"snapshot saved to {path}")
-    return 0
-
-
-def cmd_runtime_bench(args) -> int:
-    from .runtime.bench import (
-        bench_config,
-        run_runtime_bench,
-        write_report as write_rt_report,
-    )
-
-    try:
-        counts = [int(part) for part in str(args.workers).split(",") if part]
-    except ValueError:
-        print(f"invalid --workers {args.workers!r}; expected e.g. '1,2,4'")
-        return 2
-    if not counts or min(counts) < 1:
-        print("--workers needs at least one positive count")
-        return 2
-    # a full --config JSON supplies the measured workload (data/model/train
-    # sections; the parallel section is swept as w x 1 x 1); the default is
-    # the hot-path shape, so --dump-config describes exactly what runs
-    if isinstance(args.config, ExperimentConfig):
-        base = args.config
-    else:
-        base = bench_config(
-            workers=min(counts), batch_size=args.batch_size, seed=args.seed
-        )
-    if _maybe_dump(args, base):
-        return 0
-    report = run_runtime_bench(
-        counts, steps=args.steps, base=base, trace_dir=args.trace_dir,
-        topology=args.topology,
-    )
-    rows = [
-        (
-            f"{p['workers']}",
-            f"{p['hosts']}",
-            f"{p['topology']}",
-            f"{p['events_per_sec']:,.0f}",
-            f"{p['cpu_events_per_sec']:,.0f}",
-            f"{p['step_ms']:.1f}",
-            f"{p['sync_frac']:.1%}",
-        )
-        for p in report["workers"].values()
-    ]
+    t = report["threaded"]
     print(
-        f"host cpus: {report['config']['host_cpus']} "
-        f"(wall speedup needs >= workers cores; ev/s-per-CPU-s is the "
-        f"core-independent measure)"
+        f"threaded: {t['requests']} requests, {t['violations']} violations, "
+        f"{t['scale_ups']} up / {t['scale_downs']} down, "
+        f"{t['hot_swaps']} hot-swaps "
+        f"(p99 {t['latency_ms']['p99']:.2f} ms)"
     )
-    print(format_table(
-        ["workers", "hosts", "topology", "wall ev/s", "ev per CPU-s",
-         "step ms", "sync"],
-        rows,
-    ))
-    for key in ("speedup_vs_1", "cpu_speedup_vs_1"):
-        if key in report:
-            pretty = ", ".join(f"{w}w: {s:.2f}x" for w, s in report[key].items())
-            print(f"{key}: {pretty}")
-    if "ring_vs_star" in report:
-        rvs = report["ring_vs_star"]
+    h = report["hedging"]
+    print(
+        f"hedging: p99 {h['off']['p99']:.2f} -> {h['on']['p99']:.2f} ms "
+        f"({h['on']['hedge_rate']:.0%} hedged)"
+    )
+    if "process" in report:
+        p = report["process"]
         print(
-            f"ring vs star @ {rvs['workers']} workers: sync "
-            f"{rvs['star']['sync_s']:.3f}s (star) -> "
-            f"{rvs['ring']['sync_s']:.3f}s (ring)"
-            + (
-                f", {rvs['ring_sync_speedup']:.2f}x"
-                if rvs.get("ring_sync_speedup")
-                else ""
-            )
+            f"process: {p['requests']} requests, {p['violations']} "
+            f"violations, {p['recoveries']} recoveries, "
+            f"{p['hot_swaps']} hot-swaps"
         )
-    path = write_rt_report(report, args.out)
-    print(f"report written to {path}")
-    if report.get("trace_dir"):
-        print(
-            f"traces kept under {report['trace_dir']}/w<n>/ "
-            f"(summarize with `repro.cli trace --dir {report['trace_dir']}/w<n>`)"
-        )
-    return 0
+    gates = " ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in report["ok"].items())
+    print(f"gates: {gates}")
+    if args.report:
+        print(f"report written to {args.report}")
+    return 0 if report["passed"] else 1
 
 
 def cmd_trace(args) -> int:
@@ -770,45 +548,6 @@ def cmd_trace(args) -> int:
     else:
         print(f"merged trace: {merged}")
         print(format_summary(summary))
-    return 0
-
-
-def cmd_perf_bench(args) -> int:
-    from .perf import run_hotpath_bench, write_report
-
-    cfg = _experiment_from_misc_args(args)
-    if _maybe_dump(args, cfg):
-        return 0
-    report = run_hotpath_bench(
-        num_events=args.events,
-        edge_dim=args.edge_dim,
-        train_steps=args.train_steps,
-        eval_sweeps=args.eval_sweeps,
-        serve_requests=args.serve_requests,
-        seed=args.seed,
-    )
-    rows = []
-    for section in ("train_step", "eval_sweep", "serve_batch"):
-        s = report[section]
-        rows.append(
-            (
-                section,
-                f"{s['fused_events_per_sec']:,.0f}",
-                f"{s['legacy_events_per_sec']:,.0f}",
-                f"{s['speedup']:.2f}x",
-                f"{s['compiled_events_per_sec']:,.0f}"
-                if "compiled_events_per_sec" in s else "-",
-                f"{s['speedup_compiled_vs_fused']:.2f}x"
-                if "speedup_compiled_vs_fused" in s else "-",
-            )
-        )
-    print(format_table(
-        ["hot path", "fused ev/s", "legacy ev/s", "speedup",
-         "traced ev/s", "traced/fused"],
-        rows,
-    ))
-    path = write_report(report, args.out)
-    print(f"report written to {path}")
     return 0
 
 
@@ -917,8 +656,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "stats": cmd_stats,
         "throughput": cmd_throughput,
         "serve-bench": cmd_serve_bench,
-        "runtime-bench": cmd_runtime_bench,
-        "perf-bench": cmd_perf_bench,
         "trace": cmd_trace,
         "chaos": cmd_chaos,
     }[args.command]

@@ -116,8 +116,7 @@ class RecentNeighborSampler:
       exact — no float-precision hazards from mixing node ids with raw
       timestamps.
     * ``vectorized=False`` is the original per-root loop, kept as the
-      reference implementation (equivalence-tested) and the pre-refactor
-      baseline for ``benchmarks/test_hotpath_throughput.py``.
+      reference implementation (equivalence-tested).
     """
 
     def __init__(self, graph: TemporalGraph, k: int = 10, vectorized: bool = True) -> None:

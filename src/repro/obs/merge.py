@@ -145,9 +145,10 @@ def summarize_trace(events: List[dict]) -> dict:
     ``sync_s`` sums spans tagged ``args.cat == "sync"`` (barriers,
     allreduce, serial sections) **minus** spans tagged ``cat == "commit"``
     (write-backs and commit-slab writes are compute, not waiting) — the
-    exact formula the runtime bench uses — clamped at zero; ``wall_s`` is
-    the lane's first-to-last event extent, so ``sync_frac`` is directly
-    comparable to ``BENCH_runtime.json``'s column.
+    exact formula behind each rank's ``meta["bench"]["sync_s"]`` — clamped
+    at zero; ``wall_s`` is the lane's first-to-last event extent, so
+    ``sync_frac`` is directly comparable to ``python3 bench/run.py``'s
+    ``runtime.sync_share``.
     """
     lane_names: Dict[int, str] = {}
     lanes: Dict[int, dict] = {}

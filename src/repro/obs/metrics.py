@@ -309,9 +309,10 @@ def reset_registry() -> None:
 def phase_totals(registry: Optional[MetricsRegistry] = None) -> Dict[str, float]:
     """Span-fed per-phase seconds: ``{phase_name: total_s}``.
 
-    Sourced from the ``phase/<name>`` counters the tracer maintains — this
-    is what ``runtime-bench`` / ``perf-bench`` report instead of inline
-    timers.
+    Sourced from the ``phase/<name>`` counters the tracer maintains — the
+    per-rank ``phases`` of a process fit's ``meta["bench"]`` and the
+    ``obs.phase_share.*`` rows of ``python3 bench/run.py`` come from here,
+    not from inline timers.
     """
     registry = registry if registry is not None else _REGISTRY
     out: Dict[str, float] = {}

@@ -39,9 +39,11 @@ Layers, bottom up:
   wiring with star/ring/tree leader topologies, the ``j`` dimension fanned
   out as pipelined ranks, and machine-loss replacement —
   ``Session.fit(backend="fabric")`` runs the full ``i×j×k@machines`` plan
-  bitwise-equal to local;
-* :mod:`~repro.runtime.bench` — the 1→2→4 worker scaling benchmark behind
-  ``python -m repro.cli runtime-bench`` (``BENCH_runtime.json``).
+  bitwise-equal to local.
+
+Each rank reports its loop, CPU and sync seconds in its result's
+``meta["bench"]``; ``python3 bench/run.py`` turns those into the repo's
+throughput and sync-share numbers.
 """
 
 from .collectives import (

@@ -13,8 +13,9 @@ Three topologies implement the one interface:
 * :class:`Communicator` — the star: the root owns one channel per peer,
   gathers contributions in rank order, reduces, fans the result back out.
   Protocol-simple, but the root serially moves ``2(world-1)`` full vectors
-  per allreduce while every other rank idles — the measured sync wall of
-  ``BENCH_runtime.json``.
+  per allreduce while every other rank idles (``python3 bench/run.py``
+  reports the cost as ``runtime.allreduce_us.star`` and the sync share as
+  ``runtime.sync_share``).
 * :class:`ChainCommunicator` — the pipelined ring reduction: chunks flow
   up the rank chain ``0 → world-1`` accumulating in place, then the totals
   flow back down, with all chunks in flight at once.  Per *link* traffic

@@ -34,10 +34,12 @@ The serving subsystem layers six pieces on the inference stack:
 * :class:`ContinualLearner` — train-while-serve: drains the WAL, refits
   with warm-started weights, hot-swaps the new checkpoint into the live
   fleet, and asserts the swap bitwise against a freshly loaded session;
-* :class:`LatencyHistogram` / :class:`ThroughputMeter` + :func:`run_load`
-  / :func:`run_elastic_bench` — p50/p99/p99.9 latency, QPS and hedge-rate
-  accounting, open/closed-loop load generation, and the closed-loop
-  elastic bench (the ``serve-bench`` CLI entry points).
+* :class:`LatencyHistogram` + :func:`run_elastic_bench` — p50/p99/p99.9
+  latency accounting, and the elastic pass/fail drill behind ``repro.cli
+  serve-bench`` (autoscale + hot swaps + hedging + a replica SIGKILL,
+  every response checked bytewise).
+
+Serving throughput and latency numbers come from ``python3 bench/run.py``.
 """
 
 from .batcher import (
@@ -51,8 +53,8 @@ from .cluster import ClusterStats, ServingCluster, ServingReplica, ThreadFleet
 from .continual import ContinualLearner, RefitReport
 from .elastic import AutoscaleDecision, ReplicaAutoscaler
 from .ingest import EventLog
-from .loadgen import LoadReport, LoadSpec, build_queries, event_stream, run_load
-from .metrics import LatencyHistogram, ThroughputMeter
+from .loadgen import build_queries, event_stream
+from .metrics import LatencyHistogram
 
 __all__ = [
     "MicroBatcher",
@@ -70,10 +72,6 @@ __all__ = [
     "RefitReport",
     "EventLog",
     "LatencyHistogram",
-    "ThroughputMeter",
-    "LoadSpec",
-    "LoadReport",
-    "run_load",
     "run_elastic_bench",
     "build_queries",
     "event_stream",

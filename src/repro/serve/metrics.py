@@ -1,9 +1,8 @@
-"""Serving observability: latency histograms and throughput meters.
+"""Serving observability: latency histograms.
 
 Latencies are recorded in seconds and summarized as percentiles (p50/p99 —
-the numbers an SLO is written against); throughput is requests over a
-measured wall-clock window.  Both are mergeable so a cluster can aggregate
-per-replica instances into one fleet-wide view.
+the numbers an SLO is written against).  Histograms are mergeable so a
+cluster can aggregate per-replica instances into one fleet-wide view.
 
 This module is now a thin serving-flavored veneer over the shared
 :mod:`repro.obs.metrics` layer: :class:`LatencyHistogram` is a bounded
@@ -16,8 +15,7 @@ same reservoir-preserving path every other subsystem uses.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from ..obs.metrics import DEFAULT_RESERVOIR_CAP, Histogram
 
@@ -58,48 +56,3 @@ class LatencyHistogram(Histogram):
             f"LatencyHistogram(n={self.count}, p50={self.p50 * 1e3:.2f}ms, "
             f"p99={self.p99 * 1e3:.2f}ms)"
         )
-
-
-class ThroughputMeter:
-    """Counts completed requests over a measured wall-clock window.
-
-    >>> meter = ThroughputMeter()
-    >>> meter.start(); meter.add(10); meter.stop()
-    >>> meter.qps
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self._clock = clock
-        self._start: Optional[float] = None
-        self._elapsed: float = 0.0
-        self.count = 0
-
-    def start(self) -> "ThroughputMeter":
-        self._start = self._clock()
-        return self
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError("meter was never started")
-        self._elapsed += self._clock() - self._start
-        self._start = None
-        return self._elapsed
-
-    def add(self, n: int = 1) -> None:
-        self.count += n
-
-    @property
-    def elapsed(self) -> float:
-        live = self._clock() - self._start if self._start is not None else 0.0
-        return self._elapsed + live
-
-    @property
-    def qps(self) -> float:
-        e = self.elapsed
-        return self.count / e if e > 0 else 0.0
-
-    def __enter__(self) -> "ThroughputMeter":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

@@ -326,9 +326,20 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 def compare_sessions(a: Session, b: Session) -> List[str]:
     """Every state difference between two sessions (empty == bitwise equal):
-    model + decoder weights, Adam moments, and per-group node memory /
+    model + decoder weights, Adam moments, the trainer's iteration count,
+    negative-group offset and rank RNG state, and per-group node memory /
     mailbox contents and cursors."""
     diffs: List[str] = []
+    t_a, t_b = a.trainer, b.trainer
+    if t_a._iteration != t_b._iteration:
+        diffs.append(f"iteration differs: {t_a._iteration} vs {t_b._iteration}")
+    if t_a._sweep_negative_offset != t_b._sweep_negative_offset:
+        diffs.append(
+            f"sweep negative offset differs: {t_a._sweep_negative_offset} "
+            f"vs {t_b._sweep_negative_offset}"
+        )
+    if t_a.rank_rng.bit_generator.state != t_b.rank_rng.bit_generator.state:
+        diffs.append("rank_rng state differs")
     for (name_a, p_a), (name_b, p_b) in zip(
         list(a.model.named_parameters()) + list(a.decoder.named_parameters()),
         list(b.model.named_parameters()) + list(b.decoder.named_parameters()),

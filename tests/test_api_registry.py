@@ -1,5 +1,8 @@
 """Registry hygiene and plug-in component resolution."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,8 @@ from repro.api import (
     DATASETS,
     MEMORY_UPDATERS,
     ROUTERS,
+    DataConfig,
+    ExperimentConfig,
     ModelConfig,
     register_dataset,
     register_router,
@@ -57,11 +62,34 @@ class TestRegistryMachinery:
 
 class TestBuiltinRegistrations:
     def test_paper_datasets_registered_sorted(self):
-        # the five Table-2 stand-ins plus the hot-path bench workload
-        # (registered so runtime-bench workers can rebuild it from a config)
+        # the five Table-2 stand-ins plus the bench/ workloads' graph
+        # (registered so process-backend ranks can rebuild it from a config)
         assert list(DATASETS.available()) == [
             "flights", "gdelt", "hotpath", "mooc", "reddit", "wikipedia",
         ]
+
+    @pytest.mark.parametrize(
+        "scale, nodes, events, digest",
+        [
+            (0.25, 110, 60_000,
+             "0f84fdff9745cc99b34a993ae1d6643bbccb18e6cd42fafd1aaad0947777fe22"),
+            (0.01, 110, 2_400,
+             "c0269db709469681a3aeef1a92d00e38f313d2d1f4cffe4b552e9f12bf67f5ab"),
+        ],
+    )
+    def test_hotpath_dataset_bytes_are_pinned(self, scale, nodes, events, digest):
+        """Every bench/ workload trains on this graph: a changed byte would
+        move train_loss / val_mrr for reasons unrelated to the code under
+        test.  Digest = sha256 over dtype name + raw bytes of src, dst,
+        timestamps and edge_feats."""
+        cfg = ExperimentConfig(data=DataConfig(dataset="hotpath", scale=scale, seed=0))
+        graph = cfg.build_dataset().graph
+        assert (graph.num_nodes, graph.num_events) == (nodes, events)
+        h = hashlib.sha256()
+        for arr in (graph.src, graph.dst, graph.timestamps, graph.edge_feats):
+            h.update(str(arr.dtype).encode())
+            h.update(arr.tobytes())
+        assert h.hexdigest() == digest
 
     def test_builtin_routers(self):
         assert list(ROUTERS.available()) == ["least_loaded", "round_robin"]
@@ -91,11 +119,23 @@ class TestCLIUsesRegistries:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--dataset", "toyds"])
 
-    def test_policy_choices_come_from_registry(self):
+    def test_policy_choices_come_from_registry(self, tmp_path):
+        """A serving policy reaches the CLI through ``--config``: the JSON is
+        accepted exactly when the policy is a registered router."""
         from repro.cli import build_parser
 
+        doc = json.loads(ExperimentConfig().to_json())
+        doc["serve"]["policy"] = "randomized"
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(doc))
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve-bench", "--policy", "randomized"])
+            build_parser().parse_args(["serve-bench", "--config", str(path)])
+        register_router("randomized", lambda cluster: cluster.replicas[0])
+        try:
+            args = build_parser().parse_args(["serve-bench", "--config", str(path)])
+            assert args.config.serve.policy == "randomized"
+        finally:
+            ROUTERS.unregister("randomized")
 
 
 class TestPluginComponents:

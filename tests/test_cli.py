@@ -4,6 +4,7 @@ import argparse
 
 import pytest
 
+from repro.api.config import ExperimentConfig
 from repro.cli import _parse_config, build_parser, main
 
 
@@ -81,21 +82,17 @@ class TestCommands:
 
 
 class TestServeBench:
-    def test_serve_bench_two_replica_counts(self, capsys, tmp_path):
-        snap = tmp_path / "serve-snap.npz"
-        rc = main([
-            "serve-bench", "--dataset", "wikipedia", "--scale", "0.004",
-            "--train-epochs", "1", "--memory-dim", "8", "--replicas", "1,2",
-            "--clients", "2", "--requests", "3", "--candidates", "5",
-            "--stream-chunk", "40", "--snapshot", str(snap), "--quiet",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        # the report table covers both replica counts with all SLO columns
-        for needle in ("k=1", "k=2", "qps", "p50 ms", "p99 ms", "dedup", "shed"):
-            assert needle in out
-        assert snap.exists()
+    """``serve-bench`` honours the universal flags: it resolves the drill's
+    experiment like every other command and ``--dump-config`` prints it
+    instead of running the ~40 s drill."""
 
-    def test_serve_bench_rejects_bad_replicas(self, capsys):
-        assert main(["serve-bench", "--replicas", "zero"]) == 2
-        assert main(["serve-bench", "--replicas", "0"]) == 2
+    def test_serve_bench_dump_config_prints_loadable_json(self, capsys):
+        assert main(["serve-bench", "--dump-config"]) == 0
+        out = capsys.readouterr().out
+        cfg = ExperimentConfig.from_json(out)
+        assert cfg.serve.max_replicas > cfg.serve.min_replicas  # elastic fleet
+
+    def test_serve_bench_compact_config_sets_the_parallel_section(self, capsys):
+        assert main(["serve-bench", "--config", "2x1x1", "--dump-config"]) == 0
+        cfg = ExperimentConfig.from_json(capsys.readouterr().out)
+        assert cfg.parallel.label() == "2x1x1"

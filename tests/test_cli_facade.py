@@ -8,10 +8,7 @@ import pytest
 from repro.api.config import ExperimentConfig
 from repro.cli import build_parser, main
 
-ALL_COMMANDS = [
-    "train", "plan", "stats", "throughput", "serve-bench", "perf-bench",
-    "runtime-bench",
-]
+ALL_COMMANDS = ["train", "plan", "stats", "throughput", "serve-bench"]
 
 
 class TestDumpConfig:
@@ -96,16 +93,6 @@ class TestTrainThroughFacade:
         assert "[1x1x2]" in out and "best val" in out
         assert (run_dir / "config.json").exists()
         assert (run_dir / "checkpoint.npz").exists()
-
-    def test_serve_bench_config_controls_policy(self, capsys):
-        rc = main([
-            "serve-bench", "--scale", "0.004", "--train-epochs", "1",
-            "--memory-dim", "8", "--replicas", "1", "--clients", "2",
-            "--requests", "2", "--candidates", "5", "--policy", "least_loaded",
-            "--quiet",
-        ])
-        assert rc == 0
-        assert "least_loaded" in capsys.readouterr().out
 
 
 class TestResumeCommand:

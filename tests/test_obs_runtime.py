@@ -25,7 +25,11 @@ from repro.api.session import Session
 from repro.cli import main as cli_main
 from repro.obs.merge import MERGED_NAME, read_trace_file, summarize_trace
 from repro.parallel.config import ParallelConfig
-from repro.runtime.launcher import RecoveryPolicy
+from repro.runtime.launcher import (
+    RecoveryPolicy,
+    apply_process_result,
+    run_process_fit,
+)
 from repro.testing import chaos_fit
 
 FIT_TIMEOUT = 240.0
@@ -87,24 +91,36 @@ class TestProcessFitTrace:
 
     def test_trace_sync_accounting_matches_worker_meta(self, tmp_path):
         """The trace-side sync fraction must reproduce the number the
-        workers themselves report through the bench meta path (same
-        formula: sync-category spans minus commit-category spans)."""
-        from repro.runtime.bench import bench_config, bench_worker_count
-
-        point = bench_worker_count(
-            2, steps=6, base=bench_config(batch_size=50),
-            timeout=FIT_TIMEOUT, trace_dir=tmp_path,
+        workers themselves report through the ``meta["bench"]`` path that
+        ``bench/lifecycle.py`` reads (same formula: sync-category spans
+        minus commit-category spans)."""
+        cfg = ExperimentConfig(
+            data=DataConfig(dataset="hotpath", scale=0.01, seed=0),
+            model=ModelConfig(memory_dim=24, time_dim=12, embed_dim=24),
+            parallel=ParallelConfig(i=2, j=1, k=1),
+            train=TrainConfig(
+                batch_size=50, num_negative_groups=4, eval_candidates=10,
+                seed=0, prep_cache_batches=512,
+            ),
+            obs=ObsConfig(trace_dir=str(tmp_path)),
         )
-        summary = summarize_trace(
-            read_trace_file(tmp_path / "w2" / MERGED_NAME)
+        sess = Session(cfg)
+        meta, arrays, states = run_process_fit(
+            cfg, sess.trainer, max_iterations=6, eval_every_sweeps=10**9,
+            timeout=FIT_TIMEOUT,
         )
+        apply_process_result(sess.trainer, meta, arrays, states)
+        ranks = meta["bench"]
+        summary = summarize_trace(read_trace_file(tmp_path / MERGED_NAME))
         trace_sync = max(
             lane["sync_s"] for lane in summary["lanes"].values()
             if lane["lane"].startswith("rank")
         )
-        assert trace_sync == pytest.approx(point["sync_s"], rel=0.05, abs=0.02)
-        # the phase columns the bench reports come from these same spans
-        assert set(point["phases_s"]) >= {"allreduce", "commit", "forward"}
+        meta_sync = max(r["sync_s"] for r in ranks)
+        assert trace_sync == pytest.approx(meta_sync, rel=0.05, abs=0.02)
+        # the per-rank phase totals come from these same spans
+        phases = set().union(*(r["phases"] for r in ranks))
+        assert phases >= {"allreduce", "commit", "forward"}
 
     def test_untraced_fit_writes_nothing_and_disables(self, tmp_path):
         cfg = ExperimentConfig(

@@ -15,6 +15,8 @@ import time
 import pytest
 
 from repro import obs
+from repro.api import Session
+from repro.api.config import DataConfig, ExperimentConfig, ModelConfig, TrainConfig
 from repro.obs.merge import (
     MERGED_NAME,
     merge_events,
@@ -328,11 +330,10 @@ class TestDisabledOverhead:
         """The tier-1 overhead guard: with telemetry off, the per-step cost
         of every instrumentation point must be < 2% of a measured training
         step.  Measured as (disabled span() unit cost) x (a generous bound
-        on spans per step), against the hot-path bench's step time — far
-        less timing-noise-prone than differencing two full runs.
+        on spans per step), against the step time of a real training loop
+        on the ``hotpath`` graph — far less timing-noise-prone than
+        differencing two full runs.
         """
-        from repro.perf import _make_dataset, _make_trainer, _train_steps
-
         assert not obs.is_enabled()
 
         n = 100_000
@@ -342,13 +343,24 @@ class TestDisabledOverhead:
                 pass
         per_call = (time.perf_counter() - t0) / n
 
-        ds = _make_dataset(num_events=1200, edge_dim=4, seed=0)
-        trainer = _make_trainer(ds, modern=True, seed=0)
-        _train_steps(trainer, 2)               # warm caches
-        steps = 5
-        t0 = time.perf_counter()
-        _train_steps(trainer, steps)
-        per_step = (time.perf_counter() - t0) / steps
+        cfg = ExperimentConfig(
+            data=DataConfig(dataset="hotpath", scale=0.005, seed=0),
+            model=ModelConfig(memory_dim=24, time_dim=12, embed_dim=24),
+            train=TrainConfig(
+                batch_size=100, num_negative_groups=4, eval_candidates=10,
+                seed=0, prep_cache_batches=512,
+            ),
+        )
+        trainer = Session(cfg).trainer
+        warm, steps = 2, 5
+        marks = []                  # one per block: 1x1x1 -> one per step
+        trainer.train(
+            max_iterations=warm + steps,
+            eval_every_sweeps=10**9,
+            on_block_boundary=lambda *_: marks.append(time.perf_counter()),
+        )
+        assert len(marks) == warm + steps
+        per_step = (marks[-1] - marks[warm - 1]) / steps
 
         # ~2 spans per shard x a handful of shards plus sample/barrier/
         # commit sites: 200 is an order of magnitude above reality

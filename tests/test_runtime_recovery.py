@@ -525,6 +525,21 @@ class TestOracleSensitivity:
         g.memory = g.memory.astype(np.float64)
         assert compare_sessions(a, b) == ["group 0: node memory differs"]
 
+    def test_iteration_only(self, pair):
+        a, b = pair
+        b.trainer._iteration += 1
+        assert compare_sessions(a, b) == ["iteration differs: 0 vs 1"]
+
+    def test_sweep_negative_offset_only(self, pair):
+        a, b = pair
+        b.trainer._sweep_negative_offset += 1
+        assert compare_sessions(a, b) == ["sweep negative offset differs: 0 vs 1"]
+
+    def test_rank_rng_state_only(self, pair):
+        a, b = pair
+        b.trainer.rank_rng.random()
+        assert compare_sessions(a, b) == ["rank_rng state differs"]
+
 
 # ----------------------------------------------------------- Session.resume
 class TestSessionResume:

@@ -494,3 +494,25 @@ class TestDeadlines(_DeadlineCases):
 
 class TestDeadlinesProcessFleet(_DeadlineCases):
     FLEET = "processes"
+
+
+class TestElasticDrillWorkdir:
+    def test_a_failed_drill_removes_the_directory_it_made(
+        self, tmp_path, monkeypatch
+    ):
+        """The drill keeps its base session and refit checkpoints in a
+        ``repro-ebench-*`` directory it creates; that directory goes when
+        the drill ends, also when a stage raises."""
+        import tempfile
+
+        from repro.serve.bench import run_elastic_bench
+
+        def failing_fit(self, *args, **kwargs):
+            assert list(tmp_path.glob("repro-ebench-*")), "no work dir yet"
+            raise RuntimeError("fit failed")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(Session, "fit", failing_fit)
+        with pytest.raises(RuntimeError, match="fit failed"):
+            run_elastic_bench(process_stage=False)
+        assert list(tmp_path.glob("repro-ebench-*")) == []

@@ -1,18 +1,9 @@
-"""Serving metrics (histograms, meters) and the open/closed-loop load
-generator."""
+"""Serving latency histograms and the query builder."""
 
 import numpy as np
 import pytest
 
-from repro.serve import (
-    LatencyHistogram,
-    LoadSpec,
-    ServingCluster,
-    ThroughputMeter,
-    build_queries,
-    event_stream,
-    run_load,
-)
+from repro.serve import LatencyHistogram, build_queries
 
 from helpers import toy_serving_setup
 
@@ -48,28 +39,6 @@ class TestLatencyHistogram:
         assert set(h.summary()) == {"count", "mean", "p50", "p99", "max"}
 
 
-class TestThroughputMeter:
-    def test_qps_with_fake_clock(self):
-        now = {"t": 0.0}
-        meter = ThroughputMeter(clock=lambda: now["t"])
-        meter.start()
-        meter.add(30)
-        now["t"] = 2.0
-        assert meter.stop() == pytest.approx(2.0)
-        assert meter.qps == pytest.approx(15.0)
-
-    def test_unstarted_stop_raises(self):
-        with pytest.raises(RuntimeError):
-            ThroughputMeter().stop()
-
-    def test_context_manager(self):
-        now = {"t": 0.0}
-        with ThroughputMeter(clock=lambda: now["t"]) as meter:
-            meter.add(4)
-            now["t"] = 1.0
-        assert meter.qps == pytest.approx(4.0)
-
-
 class TestQueryGeneration:
     def test_shapes_and_candidate_partition(self):
         _, _, g, serve_graph, _ = toy_serving_setup()
@@ -82,51 +51,3 @@ class TestQueryGeneration:
             assert t > serve_graph.max_time
         with pytest.raises(ValueError):
             build_queries(serve_graph, 1, 0, rng)
-
-
-def make_cluster(**kwargs):
-    model, decoder, g, serve_graph, split = toy_serving_setup()
-    kwargs.setdefault("max_delay", 1e-3)
-    return ServingCluster(model, serve_graph, decoder, **kwargs), g, split
-
-
-class TestRunLoad:
-    def test_closed_loop_with_streaming(self):
-        cluster, g, split = make_cluster(k=2)
-        stream = event_stream(g, split.train_end, split.val_end, chunk=30)
-        spec = LoadSpec(num_clients=4, requests_per_client=4,
-                        candidates_per_request=6, mode="closed")
-        report = run_load(cluster, spec, stream=stream)
-        assert report.completed == 16 and report.shed == 0
-        assert report.qps > 0
-        assert report.p99 >= report.p50 > 0
-        assert 0.0 < report.dedup_ratio < 1.0
-        assert sum(report.routed) == 16
-        assert cluster.graph.num_events > split.train_end  # stream was ingested
-        assert cluster.latency().count == 16
-
-    def test_open_loop_smoke(self):
-        cluster, g, split = make_cluster(k=1)
-        spec = LoadSpec(num_clients=2, requests_per_client=4, mode="open",
-                        target_qps=10_000.0, candidates_per_request=6)
-        report = run_load(cluster, spec)
-        assert report.completed == 8 and report.mode == "open"
-        assert report.flushes >= 1
-
-    def test_open_loop_sheds_under_admission_limit(self):
-        # huge batch + long deadline -> the queue only drains at the final
-        # drain, so arrivals beyond the limit must be shed
-        cluster, g, split = make_cluster(
-            k=1, admission_limit=3, max_batch_pairs=10 ** 6, max_delay=0.2
-        )
-        spec = LoadSpec(num_clients=1, requests_per_client=10, mode="open",
-                        target_qps=1e6, candidates_per_request=4, stream_every=0)
-        report = run_load(cluster, spec)
-        assert report.completed == 3
-        assert report.shed == 7
-        assert report.completed + report.shed == spec.total_requests
-
-    def test_unknown_mode_rejected(self):
-        cluster, _, _ = make_cluster(k=1)
-        with pytest.raises(ValueError):
-            run_load(cluster, LoadSpec(mode="weird"))
